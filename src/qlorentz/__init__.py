@@ -7,7 +7,6 @@ two independent ways and classifies spacetime intervals against the
 Compton-wavelength thresholds.
 """
 
-from ._kernels import BACKEND
 from .algebra import (
     NormalForm,
     anticommutator,
@@ -61,6 +60,9 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+# Which K0 kernel runs; there is one, in plain Python (`_kernels.py`).
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -1,8 +1,4 @@
-"""Pure-Python numeric kernels.
-
-``_core.pyx`` is a line-for-line compiled twin of this module; keep the
-two in sync (same branch points, same operation order) so both backends
-produce identical doubles.
+"""The piecewise double-precision K0 kernel.
 
 k0 branches:
 

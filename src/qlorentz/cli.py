@@ -17,18 +17,7 @@ import sys
 
 from . import __version__
 from .algebra import commutator, normal_form
-from .errors import (
-    DomainError,
-    ExprError,
-    InvalidFrame,
-    NonConvergence,
-    NonpositiveMass,
-    NotSpacelike,
-    ParseError,
-    SpeedDomain,
-    UnderflowToZero,
-    UnknownTheorem,
-)
+from .errors import DomainError, NonConvergence, QLorentzError
 from .expr import parse
 from .propagator import (
     C_SI,
@@ -42,18 +31,6 @@ from .propagator import (
     ThresholdCriterion,
 )
 from .theorems import STEPS, SUITE, run_all, run_theorem
-
-_INPUT_ERRORS = (
-    ParseError,
-    ExprError,
-    UnknownTheorem,
-    DomainError,
-    NotSpacelike,
-    NonpositiveMass,
-    UnderflowToZero,
-    SpeedDomain,
-    InvalidFrame,
-)
 
 
 def _real(v: float) -> str:
@@ -282,12 +259,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except QLorentzError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -271,25 +271,27 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # printer
 
-def _neg_headed(e):
-    if isinstance(e, Rational):
-        return e.num < 0
-    if isinstance(e, Product):
-        head = e.factors[0]
-        return isinstance(head, Rational) and head.num < 0
-    return False
-
-
 def _strip_neg(e):
-    """Positive-headed counterpart of a neg-headed node (inverse of negate)."""
+    """Body b such that e prints as "-b", or None when e keeps its spelling.
+
+    e folds when it is headed by a negative rational (inverse of negate),
+    except for a -1 head before a rational or product factor: on re-parse
+    negate merges the "-" into that factor ("-0" reads as 0, "-(-1)" as 1,
+    "-(x*x)*x" as ((-1)*x*x)*x), so the printed form would not be a fixed
+    point.
+    """
     if isinstance(e, Rational):
-        return Rational(-e.num, e.den)
+        return Rational(-e.num, e.den) if e.num < 0 else None
+    if not isinstance(e, Product):
+        return None
     head = e.factors[0]
-    if head == Rational(-1) and len(e.factors) == 2:
-        return e.factors[1]
-    if head == Rational(-1):
-        return Product(e.factors[1:])
-    return Product((Rational(-head.num, head.den),) + e.factors[1:])
+    if not (isinstance(head, Rational) and head.num < 0):
+        return None
+    if head != Rational(-1):
+        return Product((Rational(-head.num, head.den),) + e.factors[1:])
+    body = e.factors[1] if len(e.factors) == 2 else Product(e.factors[1:])
+    lead = body.factors[0] if isinstance(body, Product) else body
+    return None if isinstance(lead, (Rational, Product)) else body
 
 
 def _print_rational(r):
@@ -329,19 +331,16 @@ def _print_term(e):
 
 
 def _signed_term(e, first):
-    if _neg_headed(e):
-        body = _print_term(_strip_neg(e))
-        return "-" + body if first else " - " + body
-    body = _print_term(e)
-    return body if first else " + " + body
+    body = _strip_neg(e)
+    if body is None:
+        return _print_term(e) if first else " + " + _print_term(e)
+    return ("-" if first else " - ") + _print_term(body)
 
 
 def _print_tree(e):
     if isinstance(e, Sum):
         return "".join(_signed_term(t, i == 0) for i, t in enumerate(e.terms))
-    if _neg_headed(e):
-        return "-" + _print_term(_strip_neg(e))
-    return _print_term(e)
+    return _signed_term(e, True)
 
 
 def print_expr(e):

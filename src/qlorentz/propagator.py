@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -40,6 +41,8 @@ TWO_PI = 2.0 * math.pi
 # K0(z) ~ sqrt(pi/2z) e^-z drops below the smallest normal double near
 # z = 745; refuse a little earlier, while the value is still exact.
 Z_UNDERFLOW = 700.0
+_NORMAL_MIN = sys.float_info.min  # normal doubles: no over- or underflow
+_NORMAL_MAX = sys.float_info.max
 
 PLANCK_SI = 6.62607015e-34  # J s, exact by SI definition
 HBAR_SI = PLANCK_SI / TWO_PI
@@ -51,33 +54,67 @@ HBARC_MEV_FM = 197.3269804  # MeV fm
 # kernel route
 
 
-def k0(z: float) -> float:
-    """Modified Bessel function of the second kind, order zero.
+def _checked_z(z: float, name: str) -> float:
+    """z as a float, or the error both K0 routes raise outside their domain.
 
-    Wraps the compiled/pure kernel with the domain contract: z must be
-    a positive real, and values past ``Z_UNDERFLOW`` are refused rather
-    than silently returned as subnormal noise.
+    z must be a positive real; values past ``Z_UNDERFLOW`` are refused
+    rather than silently returned as subnormal noise.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"k0 requires z > 0, got {z!r}")
+        raise DomainError(f"{name} requires z > 0, got {z!r}")
     if z > Z_UNDERFLOW:
-        raise UnderflowToZero(f"k0({z:g}) underflows double precision")
-    return _kernels.k0(z)
+        raise UnderflowToZero(f"{name}({z:g}) underflows double precision")
+    return z
+
+
+def k0(z: float) -> float:
+    """Modified Bessel function of the second kind, order zero.
+
+    The piecewise kernel of ``_kernels`` behind the domain contract of
+    ``_checked_z``.
+    """
+    return _kernels.k0(_checked_z(z, "k0"))
+
+
+def _interval(tau: float, xi: float) -> tuple[float, float]:
+    """(s, z) with s = xi^2 - tau^2 and z = sqrt(s), or z = 0.0 if s <= 0.
+
+    s is formed as (xi - tau)*(xi + tau), which keeps near the light cone
+    the digits that xi*xi - tau*tau cancels away.  Where that product
+    leaves the normal double range (a sum overflows to inf or a tiny
+    spacelike pair underflows to 0) it is redone on operands scaled by a
+    power of two, so z is finite for all finite inputs and positive
+    exactly when the pair is spacelike; s itself saturates to +-inf or 0
+    beyond the double range.
+    """
+    s = (xi - tau) * (xi + tau)
+    if _NORMAL_MIN <= s <= _NORMAL_MAX:
+        return s, math.sqrt(s)
+    if -_NORMAL_MAX <= s <= -_NORMAL_MIN:
+        return s, 0.0
+    e = math.frexp(max(abs(tau), abs(xi)))[1]
+    a, b = math.ldexp(xi, -e), math.ldexp(tau, -e)
+    m = (a - b) * (a + b)
+    z = math.ldexp(math.sqrt(m), e) if m > 0.0 else 0.0
+    try:
+        return math.ldexp(m, 2 * e), z
+    except OverflowError:
+        return math.copysign(math.inf, m), z
 
 
 def interval(tau: float, xi: float) -> float:
     """Squared interval tau^2 - xi^2 in lambda-bar^2 units (negative = spacelike)."""
-    return tau * tau - xi * xi
+    return -_interval(tau, xi)[0]
 
 
 def spacelike_z(tau: float, xi: float) -> float:
-    s = xi * xi - tau * tau
-    if s <= 0.0:
+    s, z = _interval(tau, xi)
+    if z == 0.0:
         raise NotSpacelike(
             f"(tau={tau!r}, xi={xi!r}) is not spacelike: xi^2 - tau^2 = {s!r}"
         )
-    return math.sqrt(s)
+    return z
 
 
 def gamma_bessel(tau: float, xi: float) -> complex:
@@ -132,11 +169,7 @@ def k0_oscillatory(z: float, degree: int = 4) -> float:
     arithmetic.  Raises NonConvergence when the internal self-check
     (recomputing with the last few arcs withheld) disagrees.
     """
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"k0_oscillatory requires z > 0, got {z!r}")
-    if z > Z_UNDERFLOW:
-        raise UnderflowToZero(f"k0_oscillatory({z:g}) underflows double precision")
+    z = _checked_z(z, "k0_oscillatory")
     dps = 25 + int(0.55 * z)
     narcs = 36 + int(0.6 * z)
     with mp.workdps(dps):
@@ -219,8 +252,8 @@ class ThresholdCriterion(enum.Enum):
 def classify_interval(
     tau: float, xi: float, criterion: ThresholdCriterion
 ) -> Classification:
-    s = xi * xi - tau * tau
-    if s <= 0.0:
+    s, z = _interval(tau, xi)
+    if z == 0.0:
         return Classification.TIMELIKE_OR_LIGHTLIKE
     if s <= criterion.boundary:
         return Classification.SPACELIKE_NONNEGLIGIBLE

@@ -1,12 +1,14 @@
 """Command-line surface: goldens, exit codes, schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from qlorentz import cli
+import qlorentz
+from qlorentz import cli, errors
 
 
 def run_cli(*args):
@@ -21,12 +23,18 @@ def run_cli(*args):
 
 
 def run_process(*args):
-    """Subprocess invocation, for argparse-level and byte-level checks."""
+    """Subprocess invocation, for argparse-level and byte-level checks.
+
+    The child imports the same qlorentz as this process, installed or not.
+    """
+    src = os.path.dirname(os.path.dirname(qlorentz.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "qlorentz.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -151,6 +159,12 @@ class TestPropagator:
         code, _, _ = run_cli("propagator", "--t", "0", "--x", "1", "--mass", "1")
         assert code == 2
 
+    def test_overflowing_squares_refused_as_underflow(self):
+        code, out, err = run_cli("propagator", "--t", "1e200", "--x", "2e200")
+        assert code == 2
+        assert out == ""
+        assert "underflows double precision" in err
+
     def test_nonconvergence_exit_code(self, monkeypatch):
         monkeypatch.setattr("qlorentz.propagator._CHECK_TOL", 0.0)
         code, _, err = run_cli(
@@ -158,6 +172,35 @@ class TestPropagator:
         )
         assert code == 3
         assert "self-check" in err
+
+
+_ERRORS = [
+    (errors.ParseError("bad", 0), 2),
+    (errors.ExprError("bad"), 2),
+    (errors.UnknownTheorem("bad"), 2),
+    (errors.SpeedDomain("bad"), 2),
+    (errors.InvalidFrame("bad"), 2),
+    (errors.NonpositiveMass("bad"), 2),
+    (errors.DomainError("bad"), 2),
+    (errors.NotSpacelike("bad"), 2),
+    (errors.UnderflowToZero("bad"), 2),
+    (errors.NonConvergence("bad", z=1.0), 3),
+]
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_type(self):
+        assert {type(exc) for exc, _ in _ERRORS} == set(errors.QLorentzError.__subclasses__())
+
+    @pytest.mark.parametrize("exc,code", _ERRORS, ids=[type(e).__name__ for e, _ in _ERRORS])
+    def test_error_maps_to_exit_code(self, monkeypatch, exc, code):
+        def raise_it(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "parse", raise_it)
+        got, out, err = run_cli("normalize", "x")
+        assert (got, out) == (code, "")
+        assert err == f"error: {exc}\n"
 
 
 class TestScan:

@@ -1,7 +1,7 @@
 """Parser and printer: grammar corners, round trips, error positions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlorentz.errors import ExprError, ParseError
@@ -195,6 +195,13 @@ def test_printer_parser_inverse(tree):
 
 @given(tree=_trees(min_num=-9))
 @settings(max_examples=300, deadline=None)
+# a folded -1 merged on re-parse into the factor after it, so a second
+# round still changed the text: -1*0 -> -0 -> 0, -1*0*x -> -0*x -> 0*x,
+# -1*(-1) -> -(-1) -> 1, -(x*x)*x -> (-x*x)*x -> ((-x)*x)*x
+@example(tree=Product((Rational(-1), Rational(1), Rational(0))))
+@example(tree=Product((Rational(-1), Rational(1), Rational(0), Atom("x"))))
+@example(tree=Product((Rational(-1), Rational(1), Rational(-1))))
+@example(tree=Product((Rational(-1), Product((Atom("x"), Atom("x"))), Atom("x"))))
 def test_printed_form_is_a_fixed_point(tree):
     text = print_expr(parse(print_expr(tree)))
     assert print_expr(parse(text)) == text

@@ -3,9 +3,13 @@
 import math
 import random
 import time
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlorentz import _kernels
 from qlorentz.errors import (
@@ -86,11 +90,11 @@ class TestK0:
             k0(701.0)
         k0(699.0)  # still in range
 
-    def test_backends_agree(self):
-        from qlorentz._kernels import _pure
-
-        for z in (1e-4, 0.7, 2.0, 5.5, 14.0, 100.0):
-            assert _pure.k0(z) == _kernels.k0(z) or rel(_pure.k0(z), _kernels.k0(z)) < 1e-15
+    def test_against_mpmath_besselk(self):
+        with mp.workdps(30):
+            for z in np.logspace(math.log10(1e-6), math.log10(699.9), 400):
+                z = float(z)
+                assert rel(k0(z), float(mp.besselk(0, z))) <= 1e-10, z
 
 
 class TestOscillatoryRoute:
@@ -180,6 +184,80 @@ class TestClassification:
                     tau = rng.uniform(0.0, 2.0)
                     xi = math.sqrt(s + tau * tau)
                     assert classify_interval(tau, xi, crit) is ref
+
+
+def exact_interval(tau, xi):
+    return Fraction(xi) ** 2 - Fraction(tau) ** 2
+
+
+def exact_class(s, criterion):
+    if s <= 0:
+        return Classification.TIMELIKE_OR_LIGHTLIKE
+    if s <= Fraction(criterion.boundary):
+        return Classification.SPACELIKE_NONNEGLIGIBLE
+    return Classification.SPACELIKE_NEGLIGIBLE
+
+
+def check_against_exact(tau, xi):
+    """spacelike_z and classify_interval against the exact float interval."""
+    s = exact_interval(tau, xi)
+    if s <= 0:
+        with pytest.raises(NotSpacelike):
+            spacelike_z(tau, xi)
+    else:
+        z = spacelike_z(tau, xi)
+        assert 0.0 < z < math.inf
+        if z >= 1e-300:  # normal doubles: a few rounding errors at most
+            assert abs(Fraction(z) ** 2 - s) <= Fraction(1e-15) * s
+    for crit in ThresholdCriterion:
+        boundary = Fraction(crit.boundary)
+        got = classify_interval(tau, xi, crit)
+        assert got is exact_class(s, crit) or abs(s - boundary) <= Fraction(1e-15) * boundary
+
+
+_magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+_signs = st.sampled_from((1.0, -1.0))
+
+
+class TestIntervalProperties:
+    @given(tau=_magnitudes, ulps=st.integers(-8, 8), s_tau=_signs, s_xi=_signs)
+    @settings(max_examples=300, deadline=None)
+    def test_near_light_cone(self, tau, ulps, s_tau, s_xi):
+        xi = tau + ulps * math.ulp(tau)
+        check_against_exact(s_tau * tau, s_xi * xi)
+
+    @given(
+        z=st.floats(min_value=1e-3, max_value=600.0),
+        eta=st.floats(min_value=0.0, max_value=40.0),
+        s_tau=_signs,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_large_rapidity(self, z, eta, s_tau):
+        check_against_exact(s_tau * z * math.sinh(eta), z * math.cosh(eta))
+
+    @given(
+        tau=st.floats(allow_nan=False, allow_infinity=False),
+        xi=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_inputs(self, tau, xi):
+        check_against_exact(tau, xi)
+
+    def test_one_ulp_off_the_cone(self):
+        # xi*xi - tau*tau rounds to 2 here; the exact interval is 2.98
+        tau = 1e8
+        xi = math.nextafter(tau, math.inf)
+        assert spacelike_z(tau, xi) == pytest.approx(1.7263349150062195, rel=1e-15)
+
+    def test_overflowing_squares(self):
+        # xi*xi and tau*tau are both inf; their difference was nan
+        z = spacelike_z(1e200, 2e200)
+        assert z == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+        assert interval(1e200, 2e200) == -math.inf
+        with pytest.raises(UnderflowToZero):
+            gamma_bessel(1e200, 2e200)
+        crit = ThresholdCriterion.AMPLITUDE_EQ2
+        assert classify_interval(1e200, 2e200, crit) is Classification.SPACELIKE_NEGLIGIBLE
 
 
 class TestScan:
