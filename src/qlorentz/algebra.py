@@ -286,8 +286,8 @@ _R_ORDER = ("p", "hbar", "m", "c")
 _R_INDEX = {"hbar": 0, "c": 1, "m": 2, "p": 3}
 
 
-def _r_term_segs(mono, g):
-    """Segments for one monomial inside a polynomial tail."""
+def _coeff_segs(g):
+    """(sign, segments) of a coefficient: its magnitude unless 1, then i."""
     sign, mag, imag, mixed = _gauss_parts(g)
     segs = []
     if mixed:
@@ -296,6 +296,12 @@ def _r_term_segs(mono, g):
         segs.append(mag)
     if imag:
         segs.append("i")
+    return sign, segs
+
+
+def _r_term_segs(mono, g):
+    """Segments for one monomial inside a polynomial tail."""
+    sign, segs = _coeff_segs(g)
     for name in _R_ORDER:
         seg = _power_seg(name, mono[_R_INDEX[name]])
         if seg:
@@ -349,14 +355,7 @@ def _term_text(key, coeff):
 
     if len(num.terms) == 1:
         ((eh, ec, em, ep), g), = num.terms.items()
-        sign, mag, imag, mixed = _gauss_parts(g)
-        segs = []
-        if mixed:
-            segs.append(mixed)
-        elif mag != "1":
-            segs.append(mag)
-        if imag:
-            segs.append("i")
+        sign, segs = _coeff_segs(g)
         for name, e in (("hbar", eh), ("c", ec), ("m", em)):
             seg = _power_seg(name, e)
             if seg:

@@ -19,17 +19,7 @@ from . import __version__
 from .algebra import commutator, normal_form
 from .errors import DomainError, NonConvergence, QLorentzError
 from .expr import parse
-from .propagator import (
-    C_SI,
-    classify_interval,
-    gamma_bessel,
-    gamma_quadrature,
-    interval,
-    lambda_bar_from_mev,
-    scan,
-    spacelike_z,
-    ThresholdCriterion,
-)
+from .propagator import C_SI, gamma_quadrature, lambda_bar_from_mev, point_at, scan
 from .theorems import STEPS, SUITE, run_all, run_theorem
 
 
@@ -130,30 +120,27 @@ def _cmd_propagator(args) -> int:
         tau = args.t / lb
     xi = args.x / lb
 
-    z = spacelike_z(tau, xi)
+    # a lone quadrature runs first, so that its own refusal is the one reported
+    gq = gamma_quadrature(tau, xi) if args.method == "quadrature" else None
+    p = point_at(tau, xi)
+    if args.method == "both":
+        gq = gamma_quadrature(tau, xi)
     lines = [
         f"tau = {_real(tau)}",
         f"xi = {_real(xi)}",
-        f"z = {_real(z)}",
-        f"interval_over_lambdabar2 = {_real(interval(tau, xi))}",
+        f"z = {_real(p.z)}",
+        f"interval_over_lambdabar2 = {_real(p.interval)}",
     ]
-    gb = gq = None
-    if args.method in ("bessel", "both"):
-        gb = gamma_bessel(tau, xi)
-        lines.append(f"gamma_bessel = {_cplx(gb)}")
-    if args.method in ("quadrature", "both"):
-        gq = gamma_quadrature(tau, xi)
+    if args.method != "quadrature":
+        lines.append(f"gamma_bessel = {_cplx(p.gamma)}")
+    if gq is not None:
         lines.append(f"gamma_quadrature = {_cplx(gq)}")
     if args.method == "both":
-        lines.append(f"rel_discrepancy = {_real(abs(gq - gb) / abs(gb))}")
-    prob = abs(gb if gb is not None else gq) ** 2
+        lines.append(f"rel_discrepancy = {_real(abs(gq - p.gamma) / abs(p.gamma))}")
+    prob = abs(gq) ** 2 if args.method == "quadrature" else p.prob
     lines.append(f"prob = {_real(prob)}")
-    lines.append(
-        f"class_eq2 = {classify_interval(tau, xi, ThresholdCriterion.AMPLITUDE_EQ2).value}"
-    )
-    lines.append(
-        f"class_eq13 = {classify_interval(tau, xi, ThresholdCriterion.PROBABILITY_EQ13).value}"
-    )
+    lines.append(f"class_eq2 = {p.class_eq2.value}")
+    lines.append(f"class_eq13 = {p.class_eq13.value}")
     print("\n".join(lines))
     return 0
 
@@ -161,16 +148,17 @@ def _cmd_propagator(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-_CSV_HEADER = "z,interval_over_lambdabar2,gamma_re,gamma_im,prob,class_eq2,class_eq13"
+_FIELDS = ("z", "interval_over_lambdabar2", "gamma_re", "gamma_im", "prob", "class_eq2", "class_eq13")
 
 
 def _point_fields(p) -> tuple:
+    """One scan row's cells as printed, in ``_FIELDS`` order."""
     return (
-        p.z,
-        interval(p.tau, p.xi),
-        p.gamma.real,
-        p.gamma.imag,
-        p.prob,
+        _real(p.z),
+        _real(p.interval),
+        _real(p.gamma.real),
+        _real(p.gamma.imag),
+        _real(p.prob),
         p.class_eq2.value,
         p.class_eq13.value,
     )
@@ -179,29 +167,13 @@ def _point_fields(p) -> tuple:
 def _cmd_scan(args) -> int:
     points = scan(args.z_min, args.z_max, args.steps)
     if args.format == "json":
-        records = []
-        for p in points:
-            z, iv, gre, gim, prob, c2, c13 = _point_fields(p)
-            records.append(
-                {
-                    "z": float(_real(z)),
-                    "interval_over_lambdabar2": float(_real(iv)),
-                    "gamma_re": float(_real(gre)),
-                    "gamma_im": float(_real(gim)),
-                    "prob": float(_real(prob)),
-                    "class_eq2": c2,
-                    "class_eq13": c13,
-                }
-            )
+        rows = (_point_fields(p) for p in points)
+        records = [dict(zip(_FIELDS, (*map(float, r[:5]), *r[5:]))) for r in rows]
         print(json.dumps(records, indent=2))
     else:
-        print(_CSV_HEADER)
+        print(",".join(_FIELDS))
         for p in points:
-            z, iv, gre, gim, prob, c2, c13 = _point_fields(p)
-            print(
-                f"{_real(z)},{_real(iv)},{_real(gre)},{_real(gim)},"
-                f"{_real(prob)},{c2},{c13}"
-            )
+            print(",".join(_point_fields(p)))
     return 0
 
 

@@ -108,13 +108,18 @@ def interval(tau: float, xi: float) -> float:
     return -_interval(tau, xi)[0]
 
 
-def spacelike_z(tau: float, xi: float) -> float:
+def _spacelike(tau: float, xi: float) -> tuple[float, float]:
+    """``_interval``'s (s, z), or NotSpacelike if the pair is not spacelike."""
     s, z = _interval(tau, xi)
     if z == 0.0:
         raise NotSpacelike(
             f"(tau={tau!r}, xi={xi!r}) is not spacelike: xi^2 - tau^2 = {s!r}"
         )
-    return z
+    return s, z
+
+
+def spacelike_z(tau: float, xi: float) -> float:
+    return _spacelike(tau, xi)[1]
 
 
 def gamma_bessel(tau: float, xi: float) -> complex:
@@ -134,17 +139,18 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 # such series.  Working precision scales with z because the answer
 # shrinks like e^-z while the arcs stay O(1/z).
 
-_NODE_CACHE: dict = {}
+_GL_DEGREE = 4  # mpmath's Gauss-Legendre degree: 24 nodes per arc
+_NODE_CACHE: dict = {}  # working precision in bits -> nodes
 
 _CHECK_DROP = 8  # arcs withheld for the convergence self-check
 _CHECK_TOL = 1e-8
 
 
-def _gl_nodes(degree: int):
-    key = (degree, mp.mp.prec)
-    if key not in _NODE_CACHE:
-        _NODE_CACHE[key] = GaussLegendre(mp.mp).get_nodes(-1, 1, degree, mp.mp.prec)
-    return _NODE_CACHE[key]
+def _gl_nodes():
+    prec = mp.mp.prec
+    if prec not in _NODE_CACHE:
+        _NODE_CACHE[prec] = GaussLegendre(mp.mp).get_nodes(-1, 1, _GL_DEGREE, prec)
+    return _NODE_CACHE[prec]
 
 
 def _cvz(terms):
@@ -162,7 +168,7 @@ def _cvz(terms):
     return s / d
 
 
-def k0_oscillatory(z: float, degree: int = 4) -> float:
+def k0_oscillatory(z: float) -> float:
     """int_0^inf cos(z sinh u) du, the independent route to K0(z).
 
     Shares nothing with the kernel: different representation, different
@@ -174,7 +180,7 @@ def k0_oscillatory(z: float, degree: int = 4) -> float:
     narcs = 36 + int(0.6 * z)
     with mp.workdps(dps):
         zz = mp.mpf(z)
-        nodes = _gl_nodes(degree)
+        nodes = _gl_nodes()
         if z >= 2.0:
             # substitute w = sinh u; zeros of cos(z w) are equally spaced
             def f(w):
@@ -249,15 +255,18 @@ class ThresholdCriterion(enum.Enum):
         return 1.0 if self is ThresholdCriterion.AMPLITUDE_EQ2 else 0.25
 
 
-def classify_interval(
-    tau: float, xi: float, criterion: ThresholdCriterion
-) -> Classification:
-    s, z = _interval(tau, xi)
+def _classify(s: float, z: float, criterion: ThresholdCriterion) -> Classification:
     if z == 0.0:
         return Classification.TIMELIKE_OR_LIGHTLIKE
     if s <= criterion.boundary:
         return Classification.SPACELIKE_NONNEGLIGIBLE
     return Classification.SPACELIKE_NEGLIGIBLE
+
+
+def classify_interval(
+    tau: float, xi: float, criterion: ThresholdCriterion
+) -> Classification:
+    return _classify(*_interval(tau, xi), criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +275,12 @@ def classify_interval(
 
 @dataclass(frozen=True)
 class PropagatorPoint:
+    """One spacelike point: its interval, the kernel-route amplitude, both classes."""
+
     tau: float
     xi: float
     z: float
+    interval: float  # tau^2 - xi^2, as ``interval`` returns it
     gamma: complex
     prob: float
     class_eq2: Classification
@@ -276,16 +288,18 @@ class PropagatorPoint:
 
 
 def point_at(tau: float, xi: float) -> PropagatorPoint:
-    z = spacelike_z(tau, xi)
-    gamma = gamma_bessel(tau, xi)
+    """The record of one spacelike pair; the interval is formed only once."""
+    s, z = _spacelike(tau, xi)
+    gamma = complex(k0(z) / TWO_PI, 0.0)
     return PropagatorPoint(
         tau=tau,
         xi=xi,
         z=z,
+        interval=-s,
         gamma=gamma,
         prob=abs(gamma) ** 2,
-        class_eq2=classify_interval(tau, xi, ThresholdCriterion.AMPLITUDE_EQ2),
-        class_eq13=classify_interval(tau, xi, ThresholdCriterion.PROBABILITY_EQ13),
+        class_eq2=_classify(s, z, ThresholdCriterion.AMPLITUDE_EQ2),
+        class_eq13=_classify(s, z, ThresholdCriterion.PROBABILITY_EQ13),
     )
 
 
@@ -309,7 +323,8 @@ def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
     if n < 3:
         raise DomainError(f"need n >= 3, got {n!r}")
     zs = np.logspace(math.log10(z_lo), math.log10(z_hi), n)
-    ys = np.array([math.log((k0(z) / TWO_PI) ** 2 * z) for z in zs])
+    # in logs: the square of K0/2pi itself underflows past z ~ 354
+    ys = np.array([2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs])
     slope, _ = np.polyfit(zs, ys, 1)
     return float(slope)
 

@@ -16,11 +16,7 @@ Three layers, all over exact rationals (no floats anywhere):
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class GaussRat:
@@ -58,15 +54,6 @@ class GaussRat:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other):
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
     def scale(self, q):
         return GaussRat(self.re * q, self.im * q)
 
@@ -84,10 +71,6 @@ _I_CYCLE = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
 
 def i_power(k):
     return _I_CYCLE[k % 4]
-
-
-def _frac_gcd(a, b):
-    return Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
 
 
 # monomial index order: (hbar, c, m, p)
@@ -112,10 +95,6 @@ class Poly:
         if not g:
             return Poly()
         return Poly({MON_ONE: g})
-
-    @staticmethod
-    def rational(num, den=1):
-        return Poly.const(GaussRat(Fraction(num, den)))
 
     @staticmethod
     def monomial(g, eh=0, ec=0, em=0, ep=0):
@@ -238,21 +217,6 @@ class Poly:
                 elif low in rem:
                     del rem[low]
         return Poly({(m[0], m[1], m[2], m[3] + shift): g for m, g in quot.items()})
-
-    def content(self):
-        """(monomial, gcd) common to all terms; gcd over re/im numerators."""
-        monos = list(self.terms)
-        eh = min(m[0] for m in monos)
-        ec = min(m[1] for m in monos)
-        em = min(m[2] for m in monos)
-        ep = min(m[3] for m in monos)
-        g = _F0
-        for coeff in self.terms.values():
-            if coeff.re:
-                g = _frac_gcd(g, abs(coeff.re)) if g else abs(coeff.re)
-            if coeff.im:
-                g = _frac_gcd(g, abs(coeff.im)) if g else abs(coeff.im)
-        return (eh, ec, em, ep), g
 
     def __repr__(self):
         return f"Poly({self.terms!r})"

@@ -117,21 +117,7 @@ _REGISTRY = {
     ),
 }
 
-SUITE = (
-    "T_eq6",
-    "T_eq8",
-    "T_eq9",
-    "T_eq10",
-    "T_eq7",
-    "T_velocity",
-    "T_a2",
-    "T_a5",
-    "T_a6",
-    "T_a7",
-    "T_eq11",
-    "T_eq19",
-    "T_eq20",
-)
+SUITE = tuple(_REGISTRY)
 
 # derivation steps worth showing alongside a record
 STEPS = {

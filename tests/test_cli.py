@@ -2,13 +2,17 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qlorentz
-from qlorentz import cli, errors
+from qlorentz import cli, errors, propagator
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -159,6 +163,40 @@ class TestPropagator:
         code, _, _ = run_cli("propagator", "--t", "0", "--x", "1", "--mass", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "method,amplitude_line",
+        [
+            ("bessel", "gamma_bessel = 0.0101377765323 + 0*i"),
+            ("quadrature", "gamma_quadrature = 0.0101377765323 + 0*i"),
+        ],
+    )
+    def test_golden(self, method, amplitude_line):
+        code, out, err = run_cli("propagator", "--t", "0.3", "--x", "2.5", "--method", method)
+        assert (code, err) == (0, "")
+        assert out == (
+            "tau = 0.3\n"
+            "xi = 2.5\n"
+            "z = 2.4819347292\n"
+            "interval_over_lambdabar2 = -6.16\n"
+            f"{amplitude_line}\n"
+            "prob = 0.000102774513019\n"
+            "class_eq2 = spacelike_negligible\n"
+            "class_eq13 = spacelike_negligible\n"
+        )
+
+    @pytest.mark.parametrize(
+        "method,refusal",
+        [
+            ("bessel", "k0(800)"),
+            ("quadrature", "k0_oscillatory(800)"),
+            ("both", "k0(800)"),
+        ],
+    )
+    def test_refusal_names_the_first_route(self, method, refusal):
+        code, out, err = run_cli("propagator", "--t", "0", "--x", "800", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: {refusal} underflows double precision\n"
+
     def test_overflowing_squares_refused_as_underflow(self):
         code, out, err = run_cli("propagator", "--t", "1e200", "--x", "2e200")
         assert code == 2
@@ -232,9 +270,93 @@ class TestScan:
             assert rec["prob"] == float(row[4])
             assert rec["class_eq2"] == row[5]
 
+    def test_json_golden(self):
+        code, out, _ = run_cli("scan", "--z-min", "0.5", "--z-max", "1", "--steps", "2", "--format", "json")
+        assert code == 0
+        assert out == """[
+  {
+    "z": 0.5,
+    "interval_over_lambdabar2": -0.25,
+    "gamma_re": 0.147125864674,
+    "gamma_im": 0.0,
+    "prob": 0.0216460200562,
+    "class_eq2": "spacelike_nonnegligible",
+    "class_eq13": "spacelike_nonnegligible"
+  },
+  {
+    "z": 1.0,
+    "interval_over_lambdabar2": -1.0,
+    "gamma_re": 0.0670081205085,
+    "gamma_im": 0.0,
+    "prob": 0.00449008821408,
+    "class_eq2": "spacelike_nonnegligible",
+    "class_eq13": "spacelike_negligible"
+  }
+]
+"""
+
     def test_bad_range(self):
         code, _, _ = run_cli("scan", "--z-min", "3", "--z-max", "1", "--steps", "5")
         assert code == 2
+
+
+class TestOnePassPerPoint:
+    """Each amplitude subcommand forms the interval once per spacetime point."""
+
+    @pytest.fixture
+    def interval_calls(self, monkeypatch):
+        calls = []
+        real = propagator._interval
+
+        def counted(tau, xi):
+            calls.append((tau, xi))
+            return real(tau, xi)
+
+        monkeypatch.setattr(propagator, "_interval", counted)
+        return calls
+
+    def test_scan(self, interval_calls):
+        for fmt in ("csv", "json"):
+            interval_calls.clear()
+            code, _, _ = run_cli("scan", "--z-min", "0.1", "--z-max", "3", "--steps", "30", "--format", fmt)
+            assert code == 0
+            assert len(interval_calls) == 30
+
+    def test_propagator(self, interval_calls):
+        code, _, _ = run_cli("propagator", "--t", "0.3", "--x", "2.5", "--method", "bessel")
+        assert code == 0
+        assert interval_calls == [(0.3, 2.5)]
+
+
+def _readme_examples():
+    """[argv, expected stdout] for every ``$ qlorentz ...`` line in README.md."""
+    examples = []
+    for block in README.read_text().split("```")[1::2]:
+        in_example = False
+        for line in block.splitlines(keepends=True):
+            if line.startswith("$ "):
+                examples.append([shlex.split(line[2:]), ""])
+                in_example = True
+            elif in_example:
+                examples[-1][1] += line
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    def test_examples_found(self):
+        assert len(_README_EXAMPLES) == 5
+        assert all(argv[0] == "qlorentz" for argv, _ in _README_EXAMPLES)
+
+    @pytest.mark.parametrize(
+        "argv,expected", _README_EXAMPLES, ids=[" ".join(argv[1:]) for argv, _ in _README_EXAMPLES]
+    )
+    def test_example_output(self, argv, expected):
+        code, out, _ = run_cli(*argv[1:])
+        assert code == 0
+        assert out == expected
 
 
 class TestProcessLevel:

@@ -198,17 +198,37 @@ def exact_class(s, criterion):
     return Classification.SPACELIKE_NEGLIGIBLE
 
 
+def check_point_record(tau, xi):
+    """point_at's fields equal (==) the per-field public functions."""
+    try:
+        gamma = gamma_bessel(tau, xi)
+    except UnderflowToZero:
+        with pytest.raises(UnderflowToZero):
+            point_at(tau, xi)
+        return
+    p = point_at(tau, xi)
+    assert p.z == spacelike_z(tau, xi)
+    assert p.interval == interval(tau, xi)
+    assert p.gamma == gamma
+    assert p.prob == abs(gamma) ** 2
+    assert p.class_eq2 is classify_interval(tau, xi, ThresholdCriterion.AMPLITUDE_EQ2)
+    assert p.class_eq13 is classify_interval(tau, xi, ThresholdCriterion.PROBABILITY_EQ13)
+
+
 def check_against_exact(tau, xi):
-    """spacelike_z and classify_interval against the exact float interval."""
+    """spacelike_z, classify_interval and point_at against the exact float interval."""
     s = exact_interval(tau, xi)
     if s <= 0:
         with pytest.raises(NotSpacelike):
             spacelike_z(tau, xi)
+        with pytest.raises(NotSpacelike):
+            point_at(tau, xi)
     else:
         z = spacelike_z(tau, xi)
         assert 0.0 < z < math.inf
         if z >= 1e-300:  # normal doubles: a few rounding errors at most
             assert abs(Fraction(z) ** 2 - s) <= Fraction(1e-15) * s
+        check_point_record(tau, xi)
     for crit in ThresholdCriterion:
         boundary = Fraction(crit.boundary)
         got = classify_interval(tau, xi, crit)
@@ -280,7 +300,7 @@ class TestScan:
         p = point_at(0.25, 1.25)
         assert p.prob == abs(p.gamma) ** 2
         assert p.z == spacelike_z(0.25, 1.25)
-        assert interval(p.tau, p.xi) == pytest.approx(-(p.z**2))
+        assert p.interval == interval(p.tau, p.xi) == pytest.approx(-(p.z**2))
 
     def test_bad_ranges(self):
         with pytest.raises(DomainError):
@@ -300,6 +320,13 @@ class TestFalloff:
         near = falloff_fit(5.0, 15.0, 50)
         far = falloff_fit(20.0, 30.0, 50)
         assert abs(far + 2.0) < abs(near + 2.0)
+
+    def test_window_past_square_underflow(self):
+        # (K0/2pi)^2 underflows to 0 past z ~ 372; the fit must not take its log
+        zs = np.logspace(0.0, math.log10(690.0), 50)
+        ys = [float(2 * mp.log(mp.besselk(0, z) / (2 * mp.pi)) + mp.log(z)) for z in zs]
+        want, _ = np.polyfit(zs, ys, 1)
+        assert rel(falloff_fit(1.0, 690.0), want) <= 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
