@@ -37,7 +37,9 @@ def k0_series(z):
         logfree += term * harmonic
         if term * harmonic < 1e-19 * (bessel_i0 + logfree) and k >= 4:
             break
-    return -(math.log(0.5 * z) + EULER_GAMMA) * bessel_i0 + logfree
+    half = 0.5 * z  # 0.0 only at the least subnormal, which rounds down
+    log_half = math.log(half) if half else math.log(z) - math.log(2.0)
+    return -(log_half + EULER_GAMMA) * bessel_i0 + logfree
 
 
 def k0_bridge(z):

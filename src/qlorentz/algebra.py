@@ -115,9 +115,6 @@ class NormalForm:
             out = out * self
         return out
 
-    def scale_coeff(self, coeff):
-        return NormalForm({k: c * coeff for k, c in self.terms.items()})
-
     # ------------------------------------------------------------------
     # printing
 

@@ -19,13 +19,11 @@ the helpers at the bottom.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import statistics
 import sys
 from dataclasses import dataclass
-
-import mpmath as mp
-import numpy as np
-from mpmath.calculus.quadrature import GaussLegendre
 
 from . import _kernels
 from .errors import (
@@ -137,23 +135,22 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 # Gauss-Legendre rule and feed the arc magnitudes to the
 # Cohen-Villegas-Zagier accelerator, which converges geometrically for
 # such series.  Working precision scales with z because the answer
-# shrinks like e^-z while the arcs stay O(1/z).
+# shrinks like e^-z while the arcs stay O(1/z).  Only this route imports mpmath.
 
 _GL_DEGREE = 4  # mpmath's Gauss-Legendre degree: 24 nodes per arc
-_NODE_CACHE: dict = {}  # working precision in bits -> nodes
 
 _CHECK_DROP = 8  # arcs withheld for the convergence self-check
 _CHECK_TOL = 1e-8
 
 
-def _gl_nodes():
-    prec = mp.mp.prec
-    if prec not in _NODE_CACHE:
-        _NODE_CACHE[prec] = GaussLegendre(mp.mp).get_nodes(-1, 1, _GL_DEGREE, prec)
-    return _NODE_CACHE[prec]
+@functools.cache
+def _gl_nodes(prec):
+    from mpmath import mp
+    from mpmath.calculus.quadrature import GaussLegendre
+    return GaussLegendre(mp).get_nodes(-1, 1, _GL_DEGREE, prec)
 
 
-def _cvz(terms):
+def _cvz(mp, terms):
     # Cohen-Villegas-Zagier acceleration of sum (-1)^k terms[k], terms > 0.
     n = len(terms)
     d = (3 + mp.sqrt(8)) ** n
@@ -175,12 +172,13 @@ def k0_oscillatory(z: float) -> float:
     arithmetic.  Raises NonConvergence when the internal self-check
     (recomputing with the last few arcs withheld) disagrees.
     """
+    import mpmath as mp
     z = _checked_z(z, "k0_oscillatory")
     dps = 25 + int(0.55 * z)
     narcs = 36 + int(0.6 * z)
     with mp.workdps(dps):
         zz = mp.mpf(z)
-        nodes = _gl_nodes()
+        nodes = _gl_nodes(mp.mp.prec)
         if z >= 2.0:
             # substitute w = sinh u; zeros of cos(z w) are equally spaced
             def f(w):
@@ -211,8 +209,8 @@ def k0_oscillatory(z: float) -> float:
             terms.append(abs(arc(prev, nxt)))
             prev = nxt
 
-        full = _cvz(terms)
-        check = _cvz(terms[:-_CHECK_DROP])
+        full = _cvz(mp, terms)
+        check = _cvz(mp, terms[:-_CHECK_DROP])
         drift = abs(full - check) / abs(full)
         if drift > _CHECK_TOL:
             raise NonConvergence(
@@ -303,13 +301,25 @@ def point_at(tau: float, xi: float) -> PropagatorPoint:
     )
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """np.linspace(start, stop, n >= 2) bit for bit, by numpy's own formula."""
+    span = stop - start
+    step = span / (n - 1)
+    if step == 0.0:  # a subnormal span: numpy scales by i/(n - 1) first
+        grid = [(i / (n - 1)) * span + start for i in range(n)]
+    else:
+        grid = [i * step + start for i in range(n)]
+    grid[-1] = float(stop)
+    return grid
+
+
 def scan(z_min: float, z_max: float, steps: int) -> list[PropagatorPoint]:
     """tau = 0 slice on a linear inclusive grid, one point per step."""
     if not (0.0 < z_min < z_max):
         raise DomainError(f"need 0 < z_min < z_max, got [{z_min!r}, {z_max!r}]")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps!r}")
-    return [point_at(0.0, float(xi)) for xi in np.linspace(z_min, z_max, steps)]
+    return [point_at(0.0, xi) for xi in _linspace(z_min, z_max, steps)]
 
 
 def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
@@ -322,24 +332,23 @@ def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
         raise DomainError(f"need 0 < z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n < 3:
         raise DomainError(f"need n >= 3, got {n!r}")
-    zs = np.logspace(math.log10(z_lo), math.log10(z_hi), n)
+    zs = [10.0**e for e in _linspace(math.log10(z_lo), math.log10(z_hi), n)]
     # in logs: the square of K0/2pi itself underflows past z ~ 354
-    ys = np.array([2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs])
-    slope, _ = np.polyfit(zs, ys, 1)
-    return float(slope)
+    ys = [2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs]
+    return statistics.linear_regression(zs, ys).slope
 
 
 def hbound_check(p_samples: int) -> bool:
     """1/(p^2 c^2 + m^2 c^4) <= 1/(m^2 c^4) over sampled momenta.
 
-    Natural units (m = c = 1); samples are +/- log-spaced plus the p = 0
-    equality point.
+    Natural units (m = c = 1); samples are log-spaced p > 0 plus the p = 0
+    equality point.  (-p)*(-p) == p*p exactly, so p < 0 would add nothing.
     """
     if p_samples < 1:
         raise DomainError(f"need p_samples >= 1, got {p_samples!r}")
-    mags = np.logspace(-8.0, 8.0, p_samples)
-    ps = np.concatenate(([0.0], mags, -mags))
-    return bool(np.all(1.0 / (ps * ps + 1.0) <= 1.0))
+    span = max(p_samples - 1, 1)
+    ps = [0.0, *[10.0 ** (16.0 * i / span - 8.0) for i in range(p_samples)]]
+    return all([1.0 / (p * p + 1.0) <= 1.0 for p in ps])
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,13 @@ def negative_branch_record():
 _REL_TOL = 1e-12
 
 
+def _check_speed(v, c):
+    if c <= 0:
+        raise DomainError(f"c must be positive, got {c}")
+    if abs(v) >= c:
+        raise SpeedDomain(f"|v| = {abs(v)} exceeds c = {c}")
+
+
 @dataclass(frozen=True)
 class FrameState:
     """A boost frame: velocity, energy, momentum, mass (and c).
@@ -196,10 +203,7 @@ class FrameState:
     def __post_init__(self):
         if self.m <= 0:
             raise NonpositiveMass(f"mass must be positive, got {self.m}")
-        if self.c <= 0:
-            raise DomainError(f"c must be positive, got {self.c}")
-        if abs(self.v) >= self.c:
-            raise SpeedDomain(f"|v| = {abs(self.v)} exceeds c = {self.c}")
+        _check_speed(self.v, self.c)
         shell = self.p**2 * self.c**2 + self.m**2 * self.c**4
         if abs(self.E**2 - shell) > _REL_TOL * self.E**2:
             raise InvalidFrame(
@@ -212,22 +216,14 @@ class FrameState:
 
     @classmethod
     def from_velocity(cls, m, v, c=1.0):
-        if m <= 0:
-            raise NonpositiveMass(f"mass must be positive, got {m}")
-        if c <= 0:
-            raise DomainError(f"c must be positive, got {c}")
-        if abs(v) >= c:
-            raise SpeedDomain(f"|v| = {abs(v)} exceeds c = {c}")
+        _check_speed(v, c)
         gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
         return cls(v=v, E=gamma * m * c**2, p=gamma * m * v, m=m, c=c)
 
 
 def lorentz_classical(t, x, v, c=1.0):
     """Standard boost: (t', x') = gamma*(t - v x / c^2), gamma*(x - v t)."""
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c}")
-    if abs(v) >= c:
-        raise SpeedDomain(f"|v| = {abs(v)} exceeds c = {c}")
+    _check_speed(v, c)
     gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
     return gamma * (t - v * x / c**2), gamma * (x - v * t)
 

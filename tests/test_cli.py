@@ -26,20 +26,74 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(*args):
-    """Subprocess invocation, for argparse-level and byte-level checks.
-
-    The child imports the same qlorentz as this process, installed or not.
-    """
+def run_python(*argv):
+    """A fresh interpreter that imports the same qlorentz as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(qlorentz.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "qlorentz.cli", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_process(*args):
+    """Subprocess invocation, for argparse-level and byte-level checks."""
+    return run_python("-m", "qlorentz.cli", *args)
+
+
+# Runs each argv in sys.argv[2:] (JSON lists) through cli.main in one fresh
+# interpreter, numpy blocked if sys.argv[1] == "block", and prints the
+# outputs and the heavy numeric libraries left loaded, as JSON.
+_CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import qlorentz, qlorentz.cli
+runs = []
+for argv in map(json.loads, sys.argv[2:]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = qlorentz.cli.main(argv)
+    runs.append([code, out.getvalue()])
+loaded = [m for m in ("numpy", "mpmath") if sys.modules.get(m) is not None]
+print(json.dumps({"runs": runs, "loaded": loaded}))
+"""
+
+_LIGHT_COMMANDS = [
+    ["normalize", "x"],
+    ["commutator", "x", "t"],
+    ["verify"],
+    ["propagator", "--t", "0.3", "--x", "2.5", "--method", "bessel"],
+    ["scan", "--z-min", "0.1", "--z-max", "5", "--steps", "5"],
+    ["scan", "--z-min", "0.1", "--z-max", "5", "--steps", "5", "--format", "json"],
+]
+
+
+def run_child(mode, commands):
+    proc = run_python("-c", _CHILD, mode, *map(json.dumps, commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportDiet:
+    """numpy is not a runtime dependency; mpmath loads only for the quadrature."""
+
+    def test_light_commands_load_neither(self):
+        child = run_child("open", _LIGHT_COMMANDS)
+        assert [code for code, _ in child["runs"]] == [0] * len(_LIGHT_COMMANDS)
+        assert child["loaded"] == []
+
+    def test_every_command_runs_without_numpy(self):
+        commands = _LIGHT_COMMANDS + [
+            ["propagator", "--t", "0.3", "--x", "2.5", "--method", "both"],
+            ["propagator", "--t", "0", "--x", "1", "--method", "quadrature"],
+        ]
+        blocked = run_child("block", commands)
+        assert blocked["runs"] == run_child("open", commands)["runs"]
+        assert blocked["loaded"] == ["mpmath"]
 
 
 class TestVerify:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlorentz import _kernels
@@ -89,6 +89,10 @@ class TestK0:
         with pytest.raises(UnderflowToZero):
             k0(701.0)
         k0(699.0)  # still in range
+
+    def test_least_subnormal(self):
+        # 0.5*z rounds to 0.0 here; the series must not take log(0)
+        assert rel(k0(5e-324), float(mp.besselk(0, mp.mpf(5e-324)))) < 1e-10
 
     def test_against_mpmath_besselk(self):
         with mp.workdps(30):
@@ -302,6 +306,22 @@ class TestScan:
         assert p.z == spacelike_z(0.25, 1.25)
         assert p.interval == interval(p.tau, p.xi) == pytest.approx(-(p.z**2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z_min=st.floats(min_value=0.0, max_value=650.0, exclude_min=True),
+        width=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+        steps=st.integers(min_value=2, max_value=300),
+    )
+    def test_grid_is_numpys_linspace(self, z_min, width, steps):
+        z_max = z_min + width
+        assume(z_min < z_max)
+        assert [p.xi for p in scan(z_min, z_max, steps)] == list(np.linspace(z_min, z_max, steps))
+
+    def test_subnormal_span_grid(self):
+        # the step underflows to 0 here; numpy then scales i/(steps - 1) instead
+        xs = [p.xi for p in scan(1e-320, 2e-320, 5000)]
+        assert xs == list(np.linspace(1e-320, 2e-320, 5000))
+
     def test_bad_ranges(self):
         with pytest.raises(DomainError):
             scan(3.0, 1.0, 10)
@@ -320,6 +340,14 @@ class TestFalloff:
         near = falloff_fit(5.0, 15.0, 50)
         far = falloff_fit(20.0, 30.0, 50)
         assert abs(far + 2.0) < abs(near + 2.0)
+
+    @pytest.mark.parametrize("window", [(5.0, 15.0, 50), (1.0, 690.0, 50), (1.0, 5.0, 3)])
+    def test_matches_numpy_polyfit(self, window):
+        z_lo, z_hi, n = window
+        zs = np.logspace(math.log10(z_lo), math.log10(z_hi), n)
+        ys = [2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs]
+        want, _ = np.polyfit(zs, ys, 1)
+        assert rel(falloff_fit(z_lo, z_hi, n), want) <= 1e-12
 
     def test_window_past_square_underflow(self):
         # (K0/2pi)^2 underflows to 0 past z ~ 372; the fit must not take its log
