@@ -37,8 +37,8 @@ def k0_series(z):
         logfree += term * harmonic
         if term * harmonic < 1e-19 * (bessel_i0 + logfree) and k >= 4:
             break
-    half = 0.5 * z  # 0.0 only at the least subnormal, which rounds down
-    log_half = math.log(half) if half else math.log(z) - math.log(2.0)
+    half = 0.5 * z  # rounds for odd multiples of the least subnormal
+    log_half = math.log(half) if 2.0 * half == z else math.log(z) - math.log(2.0)
     return -(log_half + EULER_GAMMA) * bessel_i0 + logfree
 
 

@@ -21,21 +21,12 @@ produce identical term maps, so ``is_zero`` is just emptiness.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import comb
 
 from .errors import ExprError
 from .expr import Atom, Power, Product, Rational, Sum
-from .rational import (
-    C2_SHELL,
-    GR_I,
-    GR_ONE,
-    Coeff,
-    GaussRat,
-    P_P,
-    Poly,
-    i_power,
-)
+from .rational import C2_SHELL, Coeff, Poly
 
 
 class NormalForm:
@@ -94,10 +85,9 @@ class NormalForm:
                     if k:
                         cur = _x_derivative(cur, e1)
                     coeff = cur * c2
-                    scalar = Poly.monomial(
-                        i_power(3 * k) * GaussRat(math.comb(a2, k)), eh=k
+                    coeff = coeff.times_poly(
+                        Poly.monomial(comb(a2, k), eh=k, ei=3 * k)
                     )
-                    coeff = coeff.times_poly(scalar)
                     eps = e1 + e2
                     if eps == 2:
                         coeff = coeff.times_poly(C2_SHELL)
@@ -149,45 +139,30 @@ def _x_derivative(coeff, eps):
 # ---------------------------------------------------------------------------
 # expression evaluation
 
-def _atom_nf(name):
-    if name == "x":
-        return NormalForm({(1, 0, 0): Coeff.one()})
-    if name == "t":
-        return NormalForm({(0, 1, 0): Coeff.one()})
-    if name == "p":
-        return NormalForm.scalar(Coeff(P_P))
-    if name == "H":
-        return NormalForm({(0, 0, 1): Coeff.one()})
-    if name == "hbar":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, eh=1)))
-    if name == "c":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, ec=1)))
-    if name == "m":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, em=1)))
-    if name == "i":
-        return NormalForm.scalar(Coeff.const(GR_I))
-    raise ExprError(f"unknown atom {name!r}")
+# the central scalars, by their exponent slot in a Poly monomial
+_SCALAR_SLOTS = {"hbar": "eh", "c": "ec", "m": "em", "p": "ep", "i": "ei"}
 
 
-def _negative_power_nf(name, exponent):
-    n = -exponent
-    if name == "p":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, ep=exponent)))
+def _atom_nf(name, exponent=1):
+    """An atom raised to 1 or to a negative power."""
+    slot = _SCALAR_SLOTS.get(name)
+    if slot is not None:
+        return NormalForm.scalar(Coeff(Poly.monomial(1, **{slot: exponent})))
+    if exponent == 1:
+        if name == "x":
+            return NormalForm({(1, 0, 0): Coeff.one()})
+        if name == "t":
+            return NormalForm({(0, 1, 0): Coeff.one()})
+        if name == "H":
+            return NormalForm({(0, 0, 1): Coeff.one()})
+        raise ExprError(f"unknown atom {name!r}")
     if name == "H":
         # H^-1 = shell^-1 H up to the c^2 of the mass shell:
         # H^-n = c^(-2 ceil(n/2)) shell^(-ceil(n/2)) H^(n mod 2)
+        n = -exponent
         half = (n + 1) // 2
-        flag = n % 2
-        coeff = Coeff(Poly.monomial(GR_ONE, ec=-2 * half), spow=half)
-        return NormalForm({(0, 0, flag): coeff})
-    if name == "hbar":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, eh=exponent)))
-    if name == "c":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, ec=exponent)))
-    if name == "m":
-        return NormalForm.scalar(Coeff(Poly.monomial(GR_ONE, em=exponent)))
-    if name == "i":
-        return NormalForm.scalar(Coeff.const(i_power(exponent)))
+        coeff = Coeff(Poly.monomial(1, ec=-2 * half), spow=half)
+        return NormalForm({(0, 0, n % 2): coeff})
     raise ExprError(f"no inverse for atom {name!r}")
 
 
@@ -198,7 +173,7 @@ def normal_form(e):
     if isinstance(e, Atom):
         return _atom_nf(e.name)
     if isinstance(e, Rational):
-        return NormalForm.scalar(Coeff.const(GaussRat(Fraction(e.num, e.den))))
+        return NormalForm.scalar(Coeff(Poly.monomial(Fraction(e.num, e.den))))
     if isinstance(e, Sum):
         out = NormalForm.zero()
         for term in e.terms:
@@ -214,7 +189,7 @@ def normal_form(e):
             return normal_form(e.base).pow(e.exponent)
         if not isinstance(e.base, Atom):
             raise ExprError("negative exponent requires an invertible atom")
-        return _negative_power_nf(e.base.name, e.exponent)
+        return _atom_nf(e.base.name, e.exponent)
     raise ExprError(f"cannot normalize {type(e).__name__}")
 
 
@@ -244,15 +219,25 @@ def is_zero(e):
 # ---------------------------------------------------------------------------
 # normal-form printing helpers
 
-def _gauss_parts(g):
+def _gauss_terms(poly, ec):
+    """Base monomial (hbar, c + ec, m, p) -> (re, im) of its coefficient."""
+    out = {}
+    for (eh, c, em, ep, ei), q in poly.terms.items():
+        base = (eh, c + ec, em, ep)
+        re, im = out.get(base, (0, 0))
+        out[base] = (re, q) if ei else (q, im)
+    return out
+
+
+def _gauss_parts(re, im):
     """(sign, magnitude_text, imag_flag, mixed_text) for one coefficient."""
-    if g.re and g.im:
-        return 1, None, False, _mixed_text(g)
-    if g.im:
-        sign = 1 if g.im > 0 else -1
-        return sign, _frac_text(abs(g.im)), True, None
-    sign = 1 if g.re > 0 else -1
-    return sign, _frac_text(abs(g.re)), False, None
+    if re and im:
+        return 1, None, False, _mixed_text(re, im)
+    if im:
+        sign = 1 if im > 0 else -1
+        return sign, _frac_text(abs(im)), True, None
+    sign = 1 if re > 0 else -1
+    return sign, _frac_text(abs(re)), False, None
 
 
 def _frac_text(q):
@@ -261,8 +246,7 @@ def _frac_text(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def _mixed_text(g):
-    re, im = g.re, g.im
+def _mixed_text(re, im):
     body = _frac_text(re) if re >= 0 else "-" + _frac_text(-re)
     if im >= 0:
         body += " + " + (_frac_text(im) + "*i" if abs(im) != 1 else "i")
@@ -284,8 +268,8 @@ _R_INDEX = {"hbar": 0, "c": 1, "m": 2, "p": 3}
 
 
 def _coeff_segs(g):
-    """(sign, segments) of a coefficient: its magnitude unless 1, then i."""
-    sign, mag, imag, mixed = _gauss_parts(g)
+    """(sign, segments) of an (re, im) coefficient: its magnitude unless 1, then i."""
+    sign, mag, imag, mixed = _gauss_parts(*g)
     segs = []
     if mixed:
         segs.append(mixed)
@@ -308,22 +292,22 @@ def _r_term_segs(mono, g):
     return sign, segs
 
 
-def _poly_text(poly, relative=True):
-    """(sign, text) with the leading sign pulled out.
+def _poly_text(terms, relative=True):
+    """(sign, text) of a ``_gauss_terms`` map, with the leading sign pulled out.
 
     With relative=True the inner signs are taken against the extracted
     one, which is right only when the caller wraps the text in parens;
     a bare group needs relative=False so '-a + b' keeps its meaning.
     """
     order = sorted(
-        poly.terms,
+        terms,
         key=lambda mono: (mono[3], mono[0], mono[2], mono[1]),
         reverse=True,
     )
     lead_sign = None
     parts = []
     for mono in order:
-        sign, segs = _r_term_segs(mono, poly.terms[mono])
+        sign, segs = _r_term_segs(mono, terms[mono])
         if lead_sign is None:
             lead_sign = sign
         body = "*".join(segs)
@@ -341,7 +325,7 @@ def _term_text(key, coeff):
     a, b, eps = key
     hexp = eps - 2 * coeff.spow
     # fold shell^-spow into H^(-2 spow), compensating the c^2 per shell
-    num = coeff.num.shift(ec=2 * coeff.spow)
+    num = _gauss_terms(coeff.num, ec=2 * coeff.spow)
 
     xt = []
     for name, e in (("x", a), ("t", b)):
@@ -350,8 +334,8 @@ def _term_text(key, coeff):
             xt.append(seg)
     hseg = _power_seg("H", hexp) if hexp else None
 
-    if len(num.terms) == 1:
-        ((eh, ec, em, ep), g), = num.terms.items()
+    if len(num) == 1:
+        ((eh, ec, em, ep), g), = num.items()
         sign, segs = _coeff_segs(g)
         for name, e in (("hbar", eh), ("c", ec), ("m", em)):
             seg = _power_seg(name, e)

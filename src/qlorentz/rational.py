@@ -1,12 +1,14 @@
 """Exact commutative coefficient arithmetic.
 
-Three layers, all over exact rationals (no floats anywhere):
+Two layers, both over exact rationals (no floats anywhere):
 
-* ``GaussRat``    -- complex numbers a + b*i with Fraction parts.
 * ``Poly``        -- Laurent polynomials in the central scalars
-                     (hbar, c, m, p); exponents may be negative because
-                     those scalars are invertible, and p^-1 exists as a
-                     generator in its own right.
+                     (hbar, c, m, p, i) with nonzero ``Fraction``
+                     coefficients.  hbar, c, m and p are invertible, so
+                     their exponents may be negative (p^-1 is a generator
+                     in its own right).  The exponent of i is kept in
+                     {0, 1} by folding i^2 = -1 into the coefficient, so a
+                     Gaussian coefficient a + b*i is two monomials.
 * ``Coeff``       -- Poly divided by a power of the mass shell
                      ``shell = p^2 + m^2 c^2`` (so that 1/(p^2 c^2 + m^2 c^4)
                      is c^-2 * shell^-1).  Kept maximally reduced: the
@@ -18,72 +20,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-class GaussRat:
-    """a + b*i with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, q):
-        return GaussRat(self.re * q, self.im * q)
-
-    def __repr__(self):
-        return f"GaussRat({self.re}, {self.im})"
-
-
-GR_ZERO = GaussRat()
-GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
-
-# i^k for k mod 4
-_I_CYCLE = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
-
-
-def i_power(k):
-    return _I_CYCLE[k % 4]
-
-
-# monomial index order: (hbar, c, m, p)
-MON_ONE = (0, 0, 0, 0)
+# monomial index order: (hbar, c, m, p, i)
+MON_ONE = (0, 0, 0, 0, 0)
 
 
 class Poly:
-    """Laurent polynomial in (hbar, c, m, p); immutable by convention."""
+    """Laurent polynomial in (hbar, c, m, p) over Q(i); immutable by convention."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict[(eh, ec, em, ep)] -> GaussRat, zeros stripped
+        # terms: dict[(eh, ec, em, ep, ei)] -> nonzero Fraction, ei in {0, 1}
         self.terms = terms or {}
 
     @staticmethod
@@ -91,16 +38,14 @@ class Poly:
         return Poly()
 
     @staticmethod
-    def const(g):
+    def monomial(g, eh=0, ec=0, em=0, ep=0, ei=0):
+        """g hbar^eh c^ec m^em p^ep i^ei for any integer ei."""
         if not g:
             return Poly()
-        return Poly({MON_ONE: g})
-
-    @staticmethod
-    def monomial(g, eh=0, ec=0, em=0, ep=0):
-        if not g:
-            return Poly()
-        return Poly({(eh, ec, em, ep): g})
+        g = Fraction(g)
+        if ei & 2:  # i^k = -i^(k-2)
+            g = -g
+        return Poly({(eh, ec, em, ep, ei & 1): g})
 
     def is_zero(self):
         return not self.terms
@@ -135,14 +80,17 @@ class Poly:
 
     def __mul__(self, other):
         out = {}
-        for m1, g1 in self.terms.items():
-            for m2, g2 in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+        for (h1, c1, m1, p1, i1), g1 in self.terms.items():
+            for (h2, c2, m2, p2, i2), g2 in other.terms.items():
                 g = g1 * g2
+                ei = i1 + i2
+                if ei == 2:  # i*i = -1
+                    ei = 0
+                    g = -g
+                mono = (h1 + h2, c1 + c2, m1 + m2, p1 + p2, ei)
                 acc = out.get(mono)
                 if acc is None:
-                    if g:
-                        out[mono] = g
+                    out[mono] = g
                 else:
                     acc = acc + g
                     if acc:
@@ -151,16 +99,17 @@ class Poly:
                         del out[mono]
         return Poly(out)
 
-    def scale(self, g):
-        if not g:
+    def scale(self, q):
+        """Multiply by the rational q."""
+        if not q:
             return Poly()
-        return Poly({mono: coeff * g for mono, coeff in self.terms.items()})
+        return Poly({mono: g * q for mono, g in self.terms.items()})
 
     def shift(self, eh=0, ec=0, em=0, ep=0):
         """Multiply by the monomial hbar^eh c^ec m^em p^ep."""
         return Poly(
             {
-                (m[0] + eh, m[1] + ec, m[2] + em, m[3] + ep): g
+                (m[0] + eh, m[1] + ec, m[2] + em, m[3] + ep, m[4]): g
                 for m, g in self.terms.items()
             }
         )
@@ -179,12 +128,13 @@ class Poly:
 
     def diff_p(self):
         """Formal d/dp; exact on Laurent monomials."""
-        out = {}
-        for (eh, ec, em, ep), g in self.terms.items():
-            if ep == 0:
-                continue
-            out[(eh, ec, em, ep - 1)] = g.scale(Fraction(ep))
-        return Poly(out)
+        return Poly(
+            {
+                (eh, ec, em, ep - 1, ei): g * ep
+                for (eh, ec, em, ep, ei), g in self.terms.items()
+                if ep
+            }
+        )
 
     def div_shell(self):
         """Exact quotient by shell = p^2 + m^2 c^2, or None.
@@ -198,8 +148,8 @@ class Poly:
         shift = min(m[3] for m in self.terms)
         if shift > 0:
             shift = 0
-        # rem: dict[(eh, ec, em, ep)] with ep >= 0
-        rem = {(m[0], m[1], m[2], m[3] - shift): g for m, g in self.terms.items()}
+        # rem: dict[(eh, ec, em, ep, ei)] with ep >= 0
+        rem = {(m[0], m[1], m[2], m[3] - shift, m[4]): g for m, g in self.terms.items()}
         quot = {}
         while rem:
             deg = max(m[3] for m in rem)
@@ -207,25 +157,25 @@ class Poly:
                 return None
             for mono in [m for m in rem if m[3] == deg]:
                 g = rem.pop(mono)
-                qm = (mono[0], mono[1], mono[2], mono[3] - 2)
-                quot[qm] = quot.get(qm, GR_ZERO) + g
+                # each quotient monomial is met once: its p-degree falls
+                quot[(mono[0], mono[1], mono[2], mono[3] - 2, mono[4])] = g
                 # subtract g * p^(deg-2) * (m^2 c^2): the p^2 part cancelled
-                low = (mono[0], mono[1] + 2, mono[2] + 2, mono[3] - 2)
-                acc = rem.get(low, GR_ZERO) - g
+                low = (mono[0], mono[1] + 2, mono[2] + 2, mono[3] - 2, mono[4])
+                acc = rem.get(low, 0) - g
                 if acc:
                     rem[low] = acc
                 elif low in rem:
                     del rem[low]
-        return Poly({(m[0], m[1], m[2], m[3] + shift): g for m, g in quot.items()})
+        return Poly({(m[0], m[1], m[2], m[3] + shift, m[4]): g for m, g in quot.items()})
 
     def __repr__(self):
         return f"Poly({self.terms!r})"
 
 
-P_ONE = Poly({MON_ONE: GR_ONE})
-P_P = Poly({(0, 0, 0, 1): GR_ONE})
+P_ONE = Poly.monomial(1)
+P_P = Poly.monomial(1, ep=1)
 # mass shell with the c^2 factored out: p^2 + m^2 c^2
-SHELL = Poly({(0, 0, 0, 2): GR_ONE, (0, 2, 2, 0): GR_ONE})
+SHELL = P_P * P_P + Poly.monomial(1, ec=2, em=2)
 # H^2 = p^2 c^2 + m^2 c^4 = c^2 * shell
 C2_SHELL = SHELL.shift(ec=2)
 
@@ -258,10 +208,6 @@ class Coeff:
     def one():
         return Coeff(P_ONE)
 
-    @staticmethod
-    def const(g):
-        return Coeff(Poly.const(g))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -291,15 +237,15 @@ class Coeff:
     def times_poly(self, poly):
         return Coeff(self.num * poly, self.spow)
 
-    def scale(self, g):
-        return Coeff(self.num.scale(g), self.spow)
+    def scale(self, q):
+        return Coeff(self.num.scale(q), self.spow)
 
     def diff_p(self):
         # d/dp [N shell^-k] = (N' shell - k N (2p)) shell^-(k+1)
         k = self.spow
         num = self.num.diff_p() * SHELL
         if k:
-            num = num - self.num.shift(ep=1).scale(GaussRat(2 * k))
+            num = num - self.num.shift(ep=1).scale(2 * k)
         return Coeff(num, k + 1)
 
     def times_p_over_shell(self):

@@ -137,15 +137,19 @@ def verify_identity(lhs, rhs):
     return ("verified" if residual.is_zero() else "failed"), residual
 
 
-def run_theorem(tid):
-    try:
-        lhs_text, rhs_text, citation = _REGISTRY[tid]
-    except KeyError:
-        raise UnknownTheorem(f"no theorem named {tid!r}") from None
+def _record(tid, lhs_text, rhs_text, citation):
     lhs = parse(lhs_text)
     rhs = parse(rhs_text)
     status, residual = verify_identity(lhs, rhs)
     return TheoremRecord(tid, lhs, rhs, citation, status, residual)
+
+
+def run_theorem(tid):
+    try:
+        entry = _REGISTRY[tid]
+    except KeyError:
+        raise UnknownTheorem(f"no theorem named {tid!r}") from None
+    return _record(tid, *entry)
 
 
 def run_all(ids=None):
@@ -160,16 +164,11 @@ def run_all(ids=None):
 
 def negative_branch_record():
     """The sign-flipped nonrelativistic branch; not part of the suite."""
-    lhs = parse(f"x*({_TNON_NEG}) - ({_TNON_NEG})*x")
-    rhs = parse(f"-1/4*i*hbar*(({_HNON_INV_NEG})*x + x*({_HNON_INV_NEG}))")
-    status, residual = verify_identity(lhs, rhs)
-    return TheoremRecord(
+    return _record(
         "T_eq20_neg",
-        lhs,
-        rhs,
+        f"x*({_TNON_NEG}) - ({_TNON_NEG})*x",
+        f"-1/4*i*hbar*(({_HNON_INV_NEG})*x + x*({_HNON_INV_NEG}))",
         "negative-energy branch of the nonrelativistic check",
-        status,
-        residual,
     )
 
 

@@ -59,6 +59,23 @@ def test_canonical_text(source, text):
     assert nf(source).to_text() == text
 
 
+@pytest.mark.parametrize(
+    "source,text",
+    [
+        ("x + i*x", "(1 + i)*x"),
+        ("(-1/2 - i)*H", "(-1/2 - i)*H"),
+        (
+            "(2 + i)*(p^2 - i*m*c)*x*H^-1",
+            "x*((2 + i)*p^2 + (1 - 2*i)*m*c)*H^-1 + (2 - 4*i)*hbar*p*H^-1",
+        ),
+        ("x*(1 + i)*(1 - i)", "2*x"),
+    ],
+)
+def test_mixed_gaussian_text(source, text):
+    """Coefficients with both a real and an imaginary part print as one group."""
+    assert nf(source).to_text() == text
+
+
 def test_commutator_goldens():
     assert commutator(parse("x"), parse("p")).to_text() == "i*hbar"
     assert commutator(parse("H"), parse("t")).to_text() == "0"

@@ -91,8 +91,10 @@ class TestK0:
         k0(699.0)  # still in range
 
     def test_least_subnormal(self):
-        # 0.5*z rounds to 0.0 here; the series must not take log(0)
-        assert rel(k0(5e-324), float(mp.besselk(0, mp.mpf(5e-324)))) < 1e-10
+        # 0.5*z rounds (to 0.0 at 5e-324) for odd multiples of the least
+        # subnormal; the series must take log(z/2) exactly all the same
+        for z in (5e-324, 1.5e-323, 2.5e-323, 1e-320):
+            assert rel(k0(z), float(mp.besselk(0, mp.mpf(z)))) < 1e-12, z
 
     def test_against_mpmath_besselk(self):
         with mp.workdps(30):

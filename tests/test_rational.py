@@ -1,68 +1,80 @@
-"""Coefficient arithmetic: Gaussian rationals, Laurent polynomials, and
-shell-denominator fractions.
+"""Coefficient arithmetic: Laurent polynomials over the Gaussian
+rationals, and shell-denominator fractions.
 
 The main oracle here is evaluation: substituting random rational values
-for (hbar, c, m, p) turns every structural operation into plain Fraction
-arithmetic, which catches bookkeeping mistakes without repeating the
-implementation.
+for (hbar, c, m, p) and i -> (0, 1) turns every structural operation into
+plain arithmetic on exact (re, im) pairs of Fractions, which catches
+bookkeeping mistakes without repeating the implementation.
 """
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorentz.rational import (
     C2_SHELL,
     Coeff,
-    GaussRat,
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
+    MON_ONE,
     P_ONE,
     P_P,
     Poly,
     SHELL,
-    i_power,
 )
 
 _fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )
 
+_I = (0, 0, 0, 0, 1)  # the monomial key of i
 
-def _eval_poly(poly: Poly, hv: Fraction, cv: Fraction, mv: Fraction, pv: Fraction) -> GaussRat:
-    total = GR_ZERO
-    for (eh, ec, em, ep), g in poly.terms.items():
-        total = total + g.scale(hv**eh * cv**ec * mv**em * pv**ep)
+
+def _gauss(a, b):
+    """a + b*i as a Poly."""
+    return Poly.monomial(a) + Poly.monomial(b, ei=1)
+
+
+def _cadd(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def _cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _eval_poly(poly: Poly, hv: Fraction, cv: Fraction, mv: Fraction, pv: Fraction):
+    total = (Fraction(0), Fraction(0))
+    for (eh, ec, em, ep, ei), g in poly.terms.items():
+        value = g * hv**eh * cv**ec * mv**em * pv**ep
+        total = _cadd(total, (0, value) if ei else (value, 0))
     return total
 
 
-def _eval_coeff(coeff: Coeff, hv, cv, mv, pv) -> GaussRat:
+def _eval_coeff(coeff: Coeff, hv, cv, mv, pv):
     shell = pv * pv + mv * mv * cv * cv
-    return _eval_poly(coeff.num, hv, cv, mv, pv).scale(Fraction(1) / shell**coeff.spow)
+    re, im = _eval_poly(coeff.num, hv, cv, mv, pv)
+    return (re / shell**coeff.spow, im / shell**coeff.spow)
 
 
-def _rand_gauss(rng):
-    return GaussRat(
-        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-    )
+def _rand_frac(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def _rand_poly(rng, allow_negative_p=True):
     lo = -2 if allow_negative_p else 0
     out = Poly.zero()
     for _ in range(rng.randint(1, 4)):
-        out = out + Poly.monomial(
-            _rand_gauss(rng),
+        mono = dict(
             eh=rng.randint(0, 2),
             ec=rng.randint(0, 2),
             em=rng.randint(0, 2),
             ep=rng.randint(lo, 3),
         )
+        # any exponent of i: monomial() reduces it
+        k = rng.randint(-4, 7)
+        out = out + Poly.monomial(_rand_frac(rng), ei=k, **mono)
+        out = out + Poly.monomial(_rand_frac(rng), ei=k + 1, **mono)
     return out if not out.is_zero() else P_ONE
 
 
@@ -77,22 +89,23 @@ _SAMPLE_POINTS = [
 ]
 
 
-class TestGaussRat:
+class TestGaussian:
     @given(a=_fracs, b=_fracs, c=_fracs, d=_fracs)
     @settings(max_examples=100, deadline=None)
     def test_mul_matches_complex(self, a, b, c, d):
-        got = GaussRat(a, b) * GaussRat(c, d)
-        assert got == GaussRat(a * c - b * d, a * d + b * c)
+        got = _gauss(a, b) * _gauss(c, d)
+        assert got == _gauss(a * c - b * d, a * d + b * c)
 
     def test_i_power_cycle(self):
-        assert [i_power(k) for k in range(4)] == [
-            GR_ONE,
-            GR_I,
-            GaussRat(-1),
-            GaussRat(0, -1),
+        # 1, i, -1, -i written out as term maps
+        cycle = [
+            Poly({MON_ONE: Fraction(1)}),
+            Poly({_I: Fraction(1)}),
+            Poly({MON_ONE: Fraction(-1)}),
+            Poly({_I: Fraction(-1)}),
         ]
-        assert i_power(7) == i_power(3)
-        assert i_power(-1) == i_power(3)
+        for k in range(-4, 8):
+            assert Poly.monomial(1, ei=k) == cycle[k % 4], k
 
 
 class TestPoly:
@@ -102,9 +115,9 @@ class TestPoly:
             f, g = _rand_poly(rng), _rand_poly(rng)
             for hv, cv, mv, pv in _SAMPLE_POINTS:
                 ev = lambda q: _eval_poly(q, hv, cv, mv, pv)
-                assert ev(f + g) == ev(f) + ev(g)
-                assert ev(f * g) == ev(f) * ev(g)
-                assert ev(-f) == -ev(f)
+                assert ev(f + g) == _cadd(ev(f), ev(g))
+                assert ev(f * g) == _cmul(ev(f), ev(g))
+                assert ev(-f) == _cmul((-1, 0), ev(f))
 
     def test_mul_commutes(self):
         rng = random.Random(77)
@@ -119,10 +132,10 @@ class TestPoly:
         assert f.pow(0) == P_ONE
 
     def test_diff_monomials(self):
-        m = Poly.monomial(GR_ONE, eh=1, ep=3)
-        assert m.diff_p() == Poly.monomial(GaussRat(3), eh=1, ep=2)
-        inv = Poly.monomial(GR_ONE, ep=-2)
-        assert inv.diff_p() == Poly.monomial(GaussRat(-2), ep=-3)
+        m = Poly.monomial(1, eh=1, ep=3)
+        assert m.diff_p() == Poly.monomial(3, eh=1, ep=2)
+        inv = Poly.monomial(1, ep=-2, ei=1)
+        assert inv.diff_p() == Poly.monomial(-2, ep=-3, ei=1)
         assert P_ONE.diff_p().is_zero()
 
     def test_diff_product_rule(self):
@@ -160,9 +173,9 @@ class TestCoeff:
             a, b = _rand_coeff(rng), _rand_coeff(rng)
             for hv, cv, mv, pv in _SAMPLE_POINTS:
                 ev = lambda q: _eval_coeff(q, hv, cv, mv, pv)
-                assert ev(a + b) == ev(a) + ev(b)
-                assert ev(a * b) == ev(a) * ev(b)
-                assert ev(a - b) == ev(a) - ev(b)
+                assert ev(a + b) == _cadd(ev(a), ev(b))
+                assert ev(a * b) == _cmul(ev(a), ev(b))
+                assert ev(a - b) == _cadd(ev(a), _cmul((-1, 0), ev(b)))
 
     def test_unequal_shell_powers_align(self):
         a = Coeff(P_ONE, 0)
@@ -176,12 +189,12 @@ class TestCoeff:
         # differentiating the equivalent single-denominator polynomial
         # N' * shell - 2 k p N over shell^(k+1).
         rng = random.Random(59)
-        two_p = Poly.monomial(GaussRat(2), ep=1)
+        two_p = Poly.monomial(2, ep=1)
         for _ in range(30):
             a = _rand_coeff(rng)
             got = a.diff_p()
             expect = Coeff(
-                a.num.diff_p() * SHELL - two_p.scale(GaussRat(a.spow)) * a.num,
+                a.num.diff_p() * SHELL - two_p.scale(a.spow) * a.num,
                 a.spow + 1,
             )
             assert got == expect
@@ -209,3 +222,23 @@ def test_uniqueness_of_representation():
         c = Coeff(f * SHELL * SHELL, k + 2)
         assert a == b == c
         assert hash(a) == hash(b) == hash(c)
+
+
+def _assert_canonical(poly):
+    for mono, g in poly.terms.items():
+        assert len(mono) == 5 and mono[4] in (0, 1), mono
+        assert type(g) is Fraction and g != 0, (mono, g)
+
+
+def test_canonical_form_invariant():
+    """Every result keeps i's exponent in {0, 1} and stores no zero."""
+    rng = random.Random(131)
+    for _ in range(60):
+        f, g = _rand_poly(rng), _rand_poly(rng)
+        results = [f + g, f - g, f - f, f * g, (f * g).diff_p(), -f.diff_p()]
+        results.append((f * SHELL).div_shell())
+        a, b = _rand_coeff(rng), _rand_coeff(rng)
+        for c in (a + b, a * b, a - b, a.diff_p(), b.times_p_over_shell()):
+            results.append(c.num)
+        for poly in results:
+            _assert_canonical(poly)
