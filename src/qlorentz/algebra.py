@@ -21,11 +21,12 @@ produce identical term maps, so ``is_zero`` is just emptiness.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 
 from .errors import ExprError
-from .expr import Atom, Power, Product, Rational, Sum
+from .expr import Atom, Power, Product, Rational, Sum, print_terms
 from .rational import C2_SHELL, Coeff, Poly
 
 
@@ -110,16 +111,10 @@ class NormalForm:
 
     def to_text(self):
         """Canonical text; re-parsing and re-normalizing reproduces self."""
-        if not self.terms:
-            return "0"
-        out = []
+        trees = []
         for key in sorted(self.terms, reverse=True):
-            sign, body = _term_text(key, self.terms[key])
-            if not out:
-                out.append("-" + body if sign < 0 else body)
-            else:
-                out.append((" - " if sign < 0 else " + ") + body)
-        return "".join(out)
+            trees.extend(_term_trees(key, self.terms[key]))
+        return print_terms(trees) or "0"
 
     def __repr__(self):
         return f"NormalForm<{self.to_text()}>"
@@ -141,29 +136,27 @@ def _x_derivative(coeff, eps):
 
 # the central scalars, by their exponent slot in a Poly monomial
 _SCALAR_SLOTS = {"hbar": "eh", "c": "ec", "m": "em", "p": "ep", "i": "ei"}
+# the generators, by their (x-power, t-power, H-flag) key
+_GENERATOR_KEYS = {"x": (1, 0, 0), "t": (0, 1, 0), "H": (0, 0, 1)}
 
 
 def _atom_nf(name, exponent=1):
-    """An atom raised to 1 or to a negative power."""
+    """An atom raised to 1 or to a negative power.
+
+    ``Atom`` and ``Power`` have already refused unknown names and negative
+    powers of x and t, so a negative power here is of a scalar or of H.
+    """
     slot = _SCALAR_SLOTS.get(name)
     if slot is not None:
         return NormalForm.scalar(Coeff(Poly.monomial(1, **{slot: exponent})))
     if exponent == 1:
-        if name == "x":
-            return NormalForm({(1, 0, 0): Coeff.one()})
-        if name == "t":
-            return NormalForm({(0, 1, 0): Coeff.one()})
-        if name == "H":
-            return NormalForm({(0, 0, 1): Coeff.one()})
-        raise ExprError(f"unknown atom {name!r}")
-    if name == "H":
-        # H^-1 = shell^-1 H up to the c^2 of the mass shell:
-        # H^-n = c^(-2 ceil(n/2)) shell^(-ceil(n/2)) H^(n mod 2)
-        n = -exponent
-        half = (n + 1) // 2
-        coeff = Coeff(Poly.monomial(1, ec=-2 * half), spow=half)
-        return NormalForm({(0, 0, n % 2): coeff})
-    raise ExprError(f"no inverse for atom {name!r}")
+        return NormalForm({_GENERATOR_KEYS[name]: Coeff.one()})
+    # H^-1 = shell^-1 H up to the c^2 of the mass shell:
+    # H^-n = c^(-2 ceil(n/2)) shell^(-ceil(n/2)) H^(n mod 2)
+    n = -exponent
+    half = (n + 1) // 2
+    coeff = Coeff(Poly.monomial(1, ec=-2 * half), spow=half)
+    return NormalForm({(0, 0, n % 2): coeff})
 
 
 def normal_form(e):
@@ -187,8 +180,6 @@ def normal_form(e):
     if isinstance(e, Power):
         if e.exponent >= 0:
             return normal_form(e.base).pow(e.exponent)
-        if not isinstance(e.base, Atom):
-            raise ExprError("negative exponent requires an invertible atom")
         return _atom_nf(e.base.name, e.exponent)
     raise ExprError(f"cannot normalize {type(e).__name__}")
 
@@ -217,7 +208,10 @@ def is_zero(e):
 
 
 # ---------------------------------------------------------------------------
-# normal-form printing helpers
+# normal forms as expression trees
+
+_I = Atom("i")
+
 
 def _gauss_terms(poly, ec):
     """Base monomial (hbar, c + ec, m, p) -> (re, im) of its coefficient."""
@@ -229,133 +223,60 @@ def _gauss_terms(poly, ec):
     return out
 
 
-def _gauss_parts(re, im):
-    """(sign, magnitude_text, imag_flag, mixed_text) for one coefficient."""
-    if re and im:
-        return 1, None, False, _mixed_text(re, im)
-    if im:
-        sign = 1 if im > 0 else -1
-        return sign, _frac_text(abs(im)), True, None
-    sign = 1 if re > 0 else -1
-    return sign, _frac_text(abs(re)), False, None
-
-
-def _frac_text(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _mixed_text(re, im):
-    body = _frac_text(re) if re >= 0 else "-" + _frac_text(-re)
-    if im >= 0:
-        body += " + " + (_frac_text(im) + "*i" if abs(im) != 1 else "i")
-    else:
-        body += " - " + (_frac_text(-im) + "*i" if abs(im) != 1 else "i")
-    return "(" + body + ")"
-
-
-def _power_seg(name, e):
+@functools.cache
+def _power(name, e):
     if e == 0:
         return None
     if e == 1:
-        return name
-    return f"{name}^{e}"
+        return Atom(name)
+    return Power(Atom(name), e)
 
 
-_R_ORDER = ("p", "hbar", "m", "c")
-_R_INDEX = {"hbar": 0, "c": 1, "m": 2, "p": 3}
+def _times(g, factors):
+    """The tree of the rational g times the factors, None entries skipped."""
+    factors = [f for f in factors if f is not None]
+    if g != 1:
+        factors.insert(0, Rational(g.numerator, g.denominator))
+    if not factors:
+        return Rational(1)
+    return factors[0] if len(factors) == 1 else Product(factors)
 
 
-def _coeff_segs(g):
-    """(sign, segments) of an (re, im) coefficient: its magnitude unless 1, then i."""
-    sign, mag, imag, mixed = _gauss_parts(*g)
-    segs = []
-    if mixed:
-        segs.append(mixed)
-    elif mag != "1":
-        segs.append(mag)
-    if imag:
-        segs.append("i")
-    return sign, segs
+def _coeff(re, im):
+    """(g, head): the coefficient re + im*i is g times the factors in head.
 
-
-def _r_term_segs(mono, g):
-    """Segments for one monomial inside a polynomial tail."""
-    sign, segs = _coeff_segs(g)
-    for name in _R_ORDER:
-        seg = _power_seg(name, mono[_R_INDEX[name]])
-        if seg:
-            segs.append(seg)
-    if not segs:
-        segs.append("1")
-    return sign, segs
-
-
-def _poly_text(terms, relative=True):
-    """(sign, text) of a ``_gauss_terms`` map, with the leading sign pulled out.
-
-    With relative=True the inner signs are taken against the extracted
-    one, which is right only when the caller wraps the text in parens;
-    a bare group needs relative=False so '-a + b' keeps its meaning.
+    A coefficient with both parts is one parenthesised group with g = 1,
+    so negating it adds a -1 head and keeps its parts.
     """
-    order = sorted(
-        terms,
-        key=lambda mono: (mono[3], mono[0], mono[2], mono[1]),
-        reverse=True,
-    )
-    lead_sign = None
-    parts = []
-    for mono in order:
-        sign, segs = _r_term_segs(mono, terms[mono])
-        if lead_sign is None:
-            lead_sign = sign
-        body = "*".join(segs)
-        if not parts:
-            parts.append(body)
-        elif relative:
-            parts.append((" + " if sign == lead_sign else " - ") + body)
-        else:
-            parts.append((" + " if sign > 0 else " - ") + body)
-    return lead_sign, "".join(parts)
+    if re and im:
+        return 1, [Sum((Rational(re.numerator, re.denominator), _times(im, [_I])))]
+    if im:
+        return im, [_I]
+    return re, []
 
 
-def _term_text(key, coeff):
-    """(sign, body) for one normal-form term."""
+def _term_trees(key, coeff):
+    """The trees one normal-form term contributes to the top-level sum."""
     a, b, eps = key
-    hexp = eps - 2 * coeff.spow
     # fold shell^-spow into H^(-2 spow), compensating the c^2 per shell
     num = _gauss_terms(coeff.num, ec=2 * coeff.spow)
-
-    xt = []
-    for name, e in (("x", a), ("t", b)):
-        seg = _power_seg(name, e)
-        if seg:
-            xt.append(seg)
-    hseg = _power_seg("H", hexp) if hexp else None
+    x, t, h = _power("x", a), _power("t", b), _power("H", eps - 2 * coeff.spow)
 
     if len(num) == 1:
         ((eh, ec, em, ep), g), = num.items()
-        sign, segs = _coeff_segs(g)
-        for name, e in (("hbar", eh), ("c", ec), ("m", em)):
-            seg = _power_seg(name, e)
-            if seg:
-                segs.append(seg)
-        segs.extend(xt)
-        pseg = _power_seg("p", ep)
-        if pseg:
-            segs.append(pseg)
-        if hseg:
-            segs.append(hseg)
-        if not segs:
-            segs.append("1")
-        return sign, "*".join(segs)
+        g, head = _coeff(*g)
+        rest = [_power("hbar", eh), _power("c", ec), _power("m", em), x, t, _power("p", ep), h]
+        return [_times(g, head + rest)]
 
-    wrap = bool(xt) or hseg is not None
-    sign, body = _poly_text(num, relative=wrap)
-    if not wrap:
-        return sign, body
-    segs = xt + ["(" + body + ")"]
-    if hseg:
-        segs.append(hseg)
-    return sign, "*".join(segs)
+    summands = []
+    for mono in sorted(num, key=lambda mono: (mono[3], mono[0], mono[2], mono[1]), reverse=True):
+        eh, ec, em, ep = mono
+        g, head = _coeff(*num[mono])
+        rest = [_power("p", ep), _power("hbar", eh), _power("m", em), _power("c", ec)]
+        summands.append((g, head + rest))
+    if x is None and t is None and h is None:
+        return [_times(g, factors) for g, factors in summands]
+    # pull the lead sign out of the group
+    sign = -1 if summands[0][0] < 0 else 1
+    group = Sum(tuple(_times(-g if sign < 0 else g, factors) for g, factors in summands))
+    return [_times(sign, [x, t, group, h])]

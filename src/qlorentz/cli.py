@@ -6,13 +6,15 @@ with 12 significant digits, and identical invocations produce byte-identical
 output.
 
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
-3 numeric non-convergence.
+3 numeric non-convergence, 141 standard output closed early (128 + SIGPIPE,
+as a shell reports for ``yes | head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -237,6 +239,12 @@ def main(argv=None) -> int:
     except QLorentzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull, not to the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Operator expression trees, the text grammar, and the canonical printer.
 
+This is the package's one printer: ``print_expr`` spells a tree, and
+``NormalForm.to_text`` spells its terms as trees through ``print_terms``, so
+how signs fold and how rationals, powers and groups are written is decided
+here alone.
+
 Grammar (whitespace between tokens is ignored)::
 
     expr     := term (("+" | "-") term)*
@@ -337,20 +342,17 @@ def _signed_term(e, first):
     return ("-" if first else " - ") + _print_term(body)
 
 
+def print_terms(terms):
+    """Terms joined by their signs as in a sum; a ``Sum`` term keeps its parens."""
+    return "".join(_signed_term(t, i == 0) for i, t in enumerate(terms))
+
+
 def _print_tree(e):
-    if isinstance(e, Sum):
-        return "".join(_signed_term(t, i == 0) for i, t in enumerate(e.terms))
-    return _signed_term(e, True)
+    return print_terms(e.terms if isinstance(e, Sum) else (e,))
 
 
 def print_expr(e):
-    """Canonical text for a tree or for any object exposing ``to_text()``.
-
-    For trees the output round-trips: ``parse(print_expr(e)) == e``.
-    """
+    """Canonical text for a tree; ``parse(print_expr(e)) == e``."""
     if isinstance(e, _NODE_TYPES):
         return _print_tree(e)
-    to_text = getattr(e, "to_text", None)
-    if to_text is not None:
-        return to_text()
     raise TypeError(f"cannot print {type(e).__name__}")

@@ -18,6 +18,7 @@ Two layers, both over exact rationals (no floats anywhere):
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 # monomial index order: (hbar, c, m, p, i)
@@ -114,18 +115,6 @@ class Poly:
             }
         )
 
-    def pow(self, n):
-        if n < 0:
-            raise ValueError("Poly.pow expects n >= 0")
-        out = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def diff_p(self):
         """Formal d/dp; exact on Laurent monomials."""
         return Poly(
@@ -180,6 +169,12 @@ SHELL = P_P * P_P + Poly.monomial(1, ec=2, em=2)
 C2_SHELL = SHELL.shift(ec=2)
 
 
+@functools.cache
+def _shell_pow(k):
+    """shell^k for k >= 0, built once per k."""
+    return P_ONE if k == 0 else _shell_pow(k - 1) * SHELL
+
+
 class Coeff:
     """num / shell^spow, maximally reduced."""
 
@@ -221,8 +216,8 @@ class Coeff:
 
     def __add__(self, other):
         k = max(self.spow, other.spow)
-        a = self.num if self.spow == k else self.num * SHELL.pow(k - self.spow)
-        b = other.num if other.spow == k else other.num * SHELL.pow(k - other.spow)
+        a = self.num if self.spow == k else self.num * _shell_pow(k - self.spow)
+        b = other.num if other.spow == k else other.num * _shell_pow(k - other.spow)
         return Coeff(a + b, k)
 
     def __neg__(self):

@@ -26,16 +26,21 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*argv):
-    """A fresh interpreter that imports the same qlorentz as this process, installed or not."""
+def _child_env():
+    """The environment of a fresh interpreter that imports the same qlorentz as this process."""
     src = os.path.dirname(os.path.dirname(qlorentz.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports the same qlorentz as this process, installed or not."""
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
 
 
@@ -434,6 +439,21 @@ class TestProcessLevel:
     def test_missing_subcommand(self):
         proc = run_process()
         assert proc.returncode == 2
+
+    def test_closed_pipe_exits_quietly(self):
+        """A reader that stops early gets 141 (128 + SIGPIPE) and no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qlorentz.cli", "scan", "--z-min", "0.1", "--z-max", "5", "--steps", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+        assert proc.stdout.readline().startswith(b"z,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_complex_formatting(self):
         proc = run_process(
