@@ -27,52 +27,17 @@ from math import comb
 
 from .errors import ExprError
 from .expr import Atom, Power, Product, Rational, Sum, print_terms
-from .rational import C2_SHELL, Coeff, Poly
+from .rational import C2_SHELL, Coeff, Poly, Terms
 
 
-class NormalForm:
-    """Map (x-power, t-power, H-flag) -> Coeff; zero coefficients dropped."""
+class NormalForm(Terms):
+    """Map (x-power, t-power, H-flag) -> nonzero Coeff."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    @staticmethod
-    def zero():
-        return NormalForm()
+    __slots__ = ()
 
     @staticmethod
     def scalar(coeff):
-        return NormalForm({(0, 0, 0): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = acc + c
-                if acc.is_zero():
-                    del out[key]
-                else:
-                    out[key] = acc
-        return NormalForm(out)
-
-    def __neg__(self):
-        return NormalForm({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return NormalForm({(0, 0, 0): coeff} if coeff else {})
 
     def __mul__(self, other):
         out = {}
@@ -96,7 +61,8 @@ class NormalForm:
                     key = (a1 + a2 - k, b1 + b2, eps)
                     acc = out.get(key)
                     out[key] = coeff if acc is None else acc + coeff
-        return NormalForm(out)
+        # a sum can cancel, and so can a derivative: d/dp of m is 0
+        return NormalForm({key: c for key, c in out.items() if c})
 
     def pow(self, n):
         if n < 0:

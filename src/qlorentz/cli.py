@@ -114,7 +114,7 @@ def _resolve_lambda_bar(args) -> float:
 
 def _cmd_propagator(args) -> int:
     lb = _resolve_lambda_bar(args)
-    if lb <= 0:
+    if not lb > 0:
         raise DomainError(f"lambda-bar must be positive, got {lb!r}")
     if args.units == "si":
         tau = C_SI * args.t / lb

@@ -276,42 +276,16 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # printer
 
-def _strip_neg(e):
-    """Body b such that e prints as "-b", or None when e keeps its spelling.
-
-    e folds when it is headed by a negative rational (inverse of negate),
-    except for a -1 head before a rational or product factor: on re-parse
-    negate merges the "-" into that factor ("-0" reads as 0, "-(-1)" as 1,
-    "-(x*x)*x" as ((-1)*x*x)*x), so the printed form would not be a fixed
-    point.
-    """
-    if isinstance(e, Rational):
-        return Rational(-e.num, e.den) if e.num < 0 else None
-    if not isinstance(e, Product):
-        return None
-    head = e.factors[0]
-    if not (isinstance(head, Rational) and head.num < 0):
-        return None
-    if head != Rational(-1):
-        return Product((Rational(-head.num, head.den),) + e.factors[1:])
-    body = e.factors[1] if len(e.factors) == 2 else Product(e.factors[1:])
-    lead = body.factors[0] if isinstance(body, Product) else body
-    return None if isinstance(lead, (Rational, Product)) else body
-
-
-def _print_rational(r):
-    if r.den == 1:
-        return str(r.num)
-    return f"{r.num}/{r.den}"
+def _fraction_text(num, den):
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _print_factor(e):
     if isinstance(e, Atom):
         return e.name
     if isinstance(e, Rational):
-        if e.num < 0:
-            return "(" + _print_rational(e) + ")"
-        return _print_rational(e)
+        text = _fraction_text(e.num, e.den)
+        return "(" + text + ")" if e.num < 0 else text
     if isinstance(e, Power):
         base = e.base
         if isinstance(base, Atom):
@@ -330,16 +304,32 @@ def _print_term(e):
         return "*".join(_print_factor(f) for f in e.factors)
     if isinstance(e, Sum):
         return "(" + _print_tree(e) + ")"
-    if isinstance(e, Rational):
-        return _print_rational(e) if e.num >= 0 else "(" + _print_rational(e) + ")"
     return _print_factor(e)
 
 
 def _signed_term(e, first):
-    body = _strip_neg(e)
+    """e after the sign that joins it to a sum.
+
+    A term headed by a negative rational (the inverse of negate) prints
+    as "-" and its magnitude, except for a -1 head before a rational or
+    product factor: on re-parse negate merges the "-" into that factor
+    ("-0" reads as 0, "-(-1)" as 1, "-(x*x)*x" as ((-1)*x*x)*x), so the
+    printed form would not be a fixed point.
+    """
+    factors = e.factors if isinstance(e, Product) else (e,)
+    head, rest = factors[0], factors[1:]
+    body = None
+    if isinstance(head, Rational) and head.num < 0:
+        if head.num != -1 or head.den != 1 or not rest:
+            body = [_fraction_text(-head.num, head.den)] + [_print_factor(f) for f in rest]
+        else:
+            if len(rest) == 1 and isinstance(rest[0], Product):
+                rest = rest[0].factors
+            if not isinstance(rest[0], (Rational, Product)):
+                body = [_print_factor(f) for f in rest]
     if body is None:
         return _print_term(e) if first else " + " + _print_term(e)
-    return ("-" if first else " - ") + _print_term(body)
+    return ("-" if first else " - ") + "*".join(body)
 
 
 def print_terms(terms):

@@ -1,7 +1,13 @@
 """Exact commutative coefficient arithmetic.
 
-Two layers, both over exact rationals (no floats anywhere):
+Three layers, all over exact rationals (no floats anywhere):
 
+* ``Terms``       -- a map from keys to nonzero values: the additive core
+                     (zero, equality, +, -) shared by ``Poly`` and by
+                     ``algebra.NormalForm``.  A value is zero when it is
+                     falsy, so one merge serves ``Fraction`` and ``Coeff``.
+                     No zero value is stored; each operation that can make
+                     one drops it there, so construction checks nothing.
 * ``Poly``        -- Laurent polynomials in the central scalars
                      (hbar, c, m, p, i) with nonzero ``Fraction``
                      coefficients.  hbar, c, m and p are invertible, so
@@ -25,18 +31,54 @@ from fractions import Fraction
 MON_ONE = (0, 0, 0, 0, 0)
 
 
-class Poly:
-    """Laurent polynomial in (hbar, c, m, p) over Q(i); immutable by convention."""
+class Terms:
+    """Map key -> nonzero value; immutable by convention."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict[(eh, ec, em, ep, ei)] -> nonzero Fraction, ei in {0, 1}
         self.terms = terms or {}
 
-    @staticmethod
-    def zero():
-        return Poly()
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, g in other.terms.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = g
+            else:
+                acc = acc + g
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({key: -g for key, g in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class Poly(Terms):
+    """Laurent polynomial in (hbar, c, m, p) over Q(i).
+
+    terms: dict[(eh, ec, em, ep, ei)] -> nonzero Fraction, ei in {0, 1}.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def monomial(g, eh=0, ec=0, em=0, ep=0, ei=0):
@@ -48,36 +90,8 @@ class Poly:
             g = -g
         return Poly({(eh, ec, em, ep, ei & 1): g})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, g in other.terms.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = g
-            else:
-                acc = acc + g
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly({mono: -g for mono, g in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -204,7 +218,10 @@ class Coeff:
         return Coeff(P_ONE)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self
+
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         if not isinstance(other, Coeff):

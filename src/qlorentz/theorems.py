@@ -179,9 +179,9 @@ _REL_TOL = 1e-12
 
 
 def _check_speed(v, c):
-    if c <= 0:
+    if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
-    if abs(v) >= c:
+    if not abs(v) < c:
         raise SpeedDomain(f"|v| = {abs(v)} exceeds c = {c}")
 
 
@@ -200,15 +200,15 @@ class FrameState:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise NonpositiveMass(f"mass must be positive, got {self.m}")
         _check_speed(self.v, self.c)
         shell = self.p**2 * self.c**2 + self.m**2 * self.c**4
-        if abs(self.E**2 - shell) > _REL_TOL * self.E**2:
+        if not abs(self.E**2 - shell) <= _REL_TOL * self.E**2:
             raise InvalidFrame(
                 f"E^2 = {self.E**2} is off the mass shell {shell}"
             )
-        if abs(self.v * self.E - self.p * self.c**2) > _REL_TOL * abs(self.E) * self.c:
+        if not abs(self.v * self.E - self.p * self.c**2) <= _REL_TOL * abs(self.E) * self.c:
             raise InvalidFrame(
                 f"v = {self.v} is not p*c^2/E = {self.p * self.c**2 / self.E}"
             )

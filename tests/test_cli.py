@@ -201,6 +201,14 @@ class TestPropagator:
         assert code == 2
         assert "spacelike" in err
 
+    @pytest.mark.parametrize("lambda_bar", ["0", "-1", "nan"])
+    def test_lambda_bar_must_be_positive(self, lambda_bar):
+        code, _, err = run_cli(
+            "propagator", "--t", "0", "--x", "1", "--lambda-bar", lambda_bar
+        )
+        assert code == 2
+        assert "lambda-bar must be positive" in err
+
     def test_si_units_with_mass(self):
         code, out, _ = run_cli(
             "propagator", "--t", "0", "--x", "3.8615926796e-13",

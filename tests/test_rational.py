@@ -13,6 +13,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlorentz.algebra import NormalForm, normal_form
+from qlorentz.expr import parse
 from qlorentz.rational import (
     C2_SHELL,
     Coeff,
@@ -23,6 +25,8 @@ from qlorentz.rational import (
     SHELL,
     _shell_pow,
 )
+from qlorentz.theorems import XPRIME
+from conftest import make_tree
 
 _fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -207,6 +211,7 @@ class TestCoeff:
     def test_zero_detection(self):
         assert Coeff.zero().is_zero()
         assert not Coeff.one().is_zero()
+        assert not Coeff.zero() and Coeff.one()
         rng = random.Random(71)
         a = _rand_coeff(rng)
         assert (a - a).is_zero()
@@ -225,21 +230,41 @@ def test_uniqueness_of_representation():
         assert hash(a) == hash(b) == hash(c)
 
 
-def _assert_canonical(poly):
-    for mono, g in poly.terms.items():
+def _assert_canonical(value):
+    """A Poly keeps i's exponent in {0, 1}; a NormalForm keys its terms by
+    (a >= 0, b >= 0, eps in {0, 1}) and holds maximally reduced Coeffs;
+    neither stores a zero."""
+    if isinstance(value, NormalForm):
+        for key, coeff in value.terms.items():
+            a, b, eps = key
+            assert a >= 0 and b >= 0 and eps in (0, 1), key
+            assert type(coeff) is Coeff and coeff, (key, coeff)
+            assert coeff.spow == 0 or coeff.num.div_shell() is None, (key, coeff)
+            _assert_canonical(coeff.num)
+        return
+    for mono, g in value.terms.items():
         assert len(mono) == 5 and mono[4] in (0, 1), mono
         assert type(g) is Fraction and g != 0, (mono, g)
 
 
 def test_canonical_form_invariant():
-    """Every result keeps i's exponent in {0, 1} and stores no zero."""
+    """Every result keeps i's exponent in {0, 1} and stores no zero,
+    normal forms included where a zero arises: a literal 0, a cancelled
+    sum, and the vanishing derivative of a p-free coefficient (m*x)."""
     rng = random.Random(131)
+    results = []
     for _ in range(60):
         f, g = _rand_poly(rng), _rand_poly(rng)
-        results = [f + g, f - g, f - f, f * g, (f * g).diff_p(), -f.diff_p()]
+        results += [f + g, f - g, f - f, f * g, (f * g).diff_p(), -f.diff_p()]
         results.append((f * SHELL).div_shell())
         a, b = _rand_coeff(rng), _rand_coeff(rng)
         for c in (a + b, a * b, a - b, a.diff_p(), b.times_p_over_shell()):
             results.append(c.num)
-        for poly in results:
-            _assert_canonical(poly)
+    results += [normal_form(parse(text)) for text in ("0", "0*x", "m*x", "x - x")]
+    for _ in range(40):
+        u, v = normal_form(make_tree(rng)), normal_form(make_tree(rng))
+        results += [u + v, u - v, u - u, u * v, u * v - v * u]
+    xprime = normal_form(parse(XPRIME))
+    results += [xprime.pow(k) for k in range(4)]
+    for value in results:
+        _assert_canonical(value)

@@ -156,6 +156,34 @@ class TestClassical:
         with pytest.raises(DomainError):
             FrameState.from_velocity(1.0, 0.0, c=0.0)
 
+    @pytest.mark.parametrize(
+        "field,error",
+        [
+            ("v", SpeedDomain),
+            ("E", InvalidFrame),
+            ("p", InvalidFrame),
+            ("m", NonpositiveMass),
+            ("c", DomainError),
+        ],
+    )
+    def test_nan_field_is_refused(self, field, error):
+        """Each check refuses NaN: it is written as "not valid", not as "invalid"."""
+        fields = dict(v=0.0, E=1.0, p=0.0, m=1.0, c=1.0)
+        fields[field] = math.nan
+        with pytest.raises(error):
+            FrameState(**fields)
+        if field in ("v", "m", "c"):
+            args = dict(m=1.0, v=0.5, c=1.0)
+            args[field] = math.nan
+            with pytest.raises(error):
+                FrameState.from_velocity(**args)
+        if field in ("v", "c"):
+            with pytest.raises(error):
+                lorentz_classical(1.0, 2.0, fields["v"], fields["c"])
+
+    def test_galilean_limit_is_accepted(self):
+        assert lorentz_classical(1.0, 2.0, 0.5, c=math.inf) == (1.0, 1.5)
+
     def test_rest_frame_is_identity(self):
         t, x = lorentz_classical(1.25, -0.75, 0.0)
         assert t == 1.25 and x == -0.75
