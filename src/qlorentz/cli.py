@@ -21,7 +21,7 @@ from . import __version__
 from .algebra import commutator, normal_form
 from .errors import DomainError, NonConvergence, QLorentzError
 from .expr import parse
-from .propagator import C_SI, gamma_quadrature, lambda_bar_from_mev, point_at, scan
+from .propagator import C_SI, gamma_quadrature, lambda_bar_from_mev, point_at, scan_rows
 from .theorems import STEPS, SUITE, run_all, run_theorem
 
 
@@ -151,31 +151,25 @@ def _cmd_propagator(args) -> int:
 # scan
 
 _FIELDS = ("z", "interval_over_lambdabar2", "gamma_re", "gamma_im", "prob", "class_eq2", "class_eq13")
-
-
-def _point_fields(p) -> tuple:
-    """One scan row's cells as printed, in ``_FIELDS`` order."""
-    return (
-        _real(p.z),
-        _real(p.interval),
-        _real(p.gamma.real),
-        _real(p.gamma.imag),
-        _real(p.prob),
-        p.class_eq2.value,
-        p.class_eq13.value,
-    )
+# one row as printed, in _FIELDS order; the kernel route's gamma_im is 0
+_ROW = "%.12g,%.12g,%.12g,0,%.12g,%s,%s\n"
 
 
 def _cmd_scan(args) -> int:
-    points = scan(args.z_min, args.z_max, args.steps)
+    rows = scan_rows(args.z_min, args.z_max, args.steps)  # refuses before any output
+    # + 0.0 folds the -0.0 interval of an underflowing s into 0.0, as _real
+    # does; _value_ is the enum's own attribute, a tenth of the cost of .value
+    lines = (_ROW % (z, itv + 0.0, g, prob, c2._value_, c13._value_) for _, z, itv, g, prob, c2, c13 in rows)
     if args.format == "json":
-        rows = (_point_fields(p) for p in points)
-        records = [dict(zip(_FIELDS, (*map(float, r[:5]), *r[5:]))) for r in rows]
+        # JSON holds the numbers as printed, to 12 digits
+        cells = (line[:-1].split(",") for line in lines)
+        records = [dict(zip(_FIELDS, (*map(float, c[:5]), *c[5:]))) for c in cells]
         print(json.dumps(records, indent=2))
     else:
-        print(",".join(_FIELDS))
-        for p in points:
-            print(",".join(_point_fields(p)))
+        write = sys.stdout.write
+        write(",".join(_FIELDS) + "\n")
+        for line in lines:
+            write(line)
     return 0
 
 

@@ -23,6 +23,7 @@ import functools
 import math
 import statistics
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _kernels
@@ -264,7 +265,15 @@ def _classify(s: float, z: float, criterion: ThresholdCriterion) -> Classificati
 def classify_interval(
     tau: float, xi: float, criterion: ThresholdCriterion
 ) -> Classification:
-    return _classify(*_interval(tau, xi), criterion)
+    """The class of (tau, xi); DomainError where the interval is undefined.
+
+    ``_interval`` gives a NaN s only for a NaN coordinate or an inf - inf
+    pair, and maps it to z = 0.0, which would read as timelike.
+    """
+    s, z = _interval(tau, xi)
+    if math.isnan(s):
+        raise DomainError(f"(tau={tau!r}, xi={xi!r}) has no interval: xi^2 - tau^2 = {s!r}")
+    return _classify(s, z, criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +322,54 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return grid
 
 
-def scan(z_min: float, z_max: float, steps: int) -> list[PropagatorPoint]:
-    """tau = 0 slice on a linear inclusive grid, one point per step."""
-    if not (0.0 < z_min < z_max):
+def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
+    """The tau = 0 slice on a linear inclusive grid, as plain row tuples.
+
+    Each row is (xi, z, interval, gamma, prob, class_eq2, class_eq13),
+    the fields of ``point_at(0.0, xi)`` with gamma as its real part, and
+    equal to them.  Every refusal is raised here, before the first row, so
+    a caller that prints row by row prints nothing for a refused scan.
+    """
+    if not (0.0 < z_min < z_max < math.inf):
         raise DomainError(f"need 0 < z_min < z_max, got [{z_min!r}, {z_max!r}]")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps!r}")
-    return [point_at(0.0, xi) for xi in _linspace(z_min, z_max, steps)]
+    grid = _linspace(z_min, z_max, steps)
+    # the grid increases and z == xi on tau = 0, so its last point bounds
+    # every z; a refusal names the first point past the bound, as point_at does
+    if grid[-1] > Z_UNDERFLOW:
+        _checked_z(next(xi for xi in grid if xi > Z_UNDERFLOW), "k0")
+    return _rows(grid)
+
+
+def _rows(grid: list[float]) -> Iterator[tuple]:
+    # point_at's arithmetic on a grid already checked: one _interval per
+    # row, and no timelike class, since z == xi > 0.  _kernels.k0 is looked
+    # up per row, so a wrapper put on it later still sees every call.
+    near = Classification.SPACELIKE_NONNEGLIGIBLE
+    far = Classification.SPACELIKE_NEGLIGIBLE
+    eq2 = ThresholdCriterion.AMPLITUDE_EQ2.boundary
+    eq13 = ThresholdCriterion.PROBABILITY_EQ13.boundary
+    for xi in grid:
+        s, z = _interval(0.0, xi)
+        g = _kernels.k0(z) / TWO_PI
+        yield (
+            xi,
+            z,
+            -s,
+            g,
+            abs(complex(g, 0.0)) ** 2,  # point_at's prob, bit for bit
+            near if s <= eq2 else far,
+            near if s <= eq13 else far,
+        )
+
+
+def scan(z_min: float, z_max: float, steps: int) -> list[PropagatorPoint]:
+    """``scan_rows`` as records: each equals ``point_at(0.0, xi)``."""
+    return [
+        PropagatorPoint(0.0, xi, z, itv, complex(g, 0.0), prob, c2, c13)
+        for xi, z, itv, g, prob, c2, c13 in scan_rows(z_min, z_max, steps)
+    ]
 
 
 def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
@@ -328,7 +378,7 @@ def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
     prob(z) decays like e^(-2z)/z, so multiplying the z back out leaves
     a nearly pure exponential whose log is linear in z.
     """
-    if not (0.0 < z_lo < z_hi):
+    if not (0.0 < z_lo < z_hi < math.inf):
         raise DomainError(f"need 0 < z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n < 3:
         raise DomainError(f"need n >= 3, got {n!r}")

@@ -1,5 +1,6 @@
 """Command-line surface: goldens, exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -365,6 +366,38 @@ class TestScan:
     def test_bad_range(self):
         code, _, _ = run_cli("scan", "--z-min", "3", "--z-max", "1", "--steps", "5")
         assert code == 2
+
+    def test_infinite_range_refused(self):
+        got = run_cli("scan", "--z-min", "1", "--z-max", "inf", "--steps", "3")
+        assert got == (2, "", "error: need 0 < z_min < z_max, got [1.0, inf]\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underflow_refused_before_any_output(self, fmt):
+        got = run_cli("scan", "--z-min", "1", "--z-max", "800", "--steps", "1000", "--format", fmt)
+        assert got == (2, "", "error: k0(700.025) underflows double precision\n")
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (
+                ["--z-min", "0.02", "--z-max", "400", "--steps", "25000"],
+                "97540fb4024528fbb25753d2030314540f0016d891e529734b494840c14b2015",
+            ),
+            (
+                ["--z-min", "0.02", "--z-max", "400", "--steps", "2500", "--format", "json"],
+                "26258aae1f14c8fce044804576521e7e9e27ba0c50389c79f323722236add9c6",
+            ),
+            (
+                ["--z-min", "1e-320", "--z-max", "2e-320", "--steps", "5000"],
+                "b993b863e59701702afc7179e4700d90dfbf3a719cd05c6a381eaf1901edcb39",
+            ),
+        ],
+        ids=["csv-25000", "json-2500", "csv-subnormal"],
+    )
+    def test_pinned_stdout(self, argv, sha256):
+        code, out, _ = run_cli("scan", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestOnePassPerPoint:

@@ -26,6 +26,7 @@ from qlorentz.propagator import (
     PLANCK_SI,
     ThresholdCriterion,
     TWO_PI,
+    Z_UNDERFLOW,
     classify_interval,
     compton_wavelength,
     falloff_fit,
@@ -178,6 +179,12 @@ class TestClassification:
         xi = math.sqrt(0.25 + tau * tau)
         got = classify_interval(tau, xi, ThresholdCriterion.PROBABILITY_EQ13)
         assert got is Classification.SPACELIKE_NONNEGLIGIBLE
+
+    @pytest.mark.parametrize("criterion", list(ThresholdCriterion))
+    @pytest.mark.parametrize("tau,xi", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_coordinate_refused(self, tau, xi, criterion):
+        with pytest.raises(DomainError):
+            classify_interval(tau, xi, criterion)
 
     def test_depends_only_on_interval(self):
         # any (tau, xi) with the same xi^2 - tau^2 classifies identically
@@ -332,6 +339,36 @@ class TestScan:
         with pytest.raises(DomainError):
             scan(0.1, 1.0, 1)
 
+    def test_infinite_end_refused(self):
+        with pytest.raises(DomainError, match=r"^need 0 < z_min < z_max, got \[1\.0, inf\]$"):
+            scan(1.0, math.inf, 3)
+
+    def test_underflow_names_the_first_point_past_it(self):
+        with pytest.raises(UnderflowToZero, match=r"^k0\(700\.025\) underflows double precision$"):
+            scan(1.0, 800.0, 1000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ends=st.one_of(
+            # across both kernel splices, z = 2 and z = 14
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+                st.floats(min_value=14.0, max_value=Z_UNDERFLOW),
+            ),
+            # subnormal spans of a few least subnormals, where the step can
+            # underflow to 0 and the grid scales by i/(steps - 1) instead
+            st.tuples(st.integers(1, 2**20), st.integers(1, 1000)).map(
+                lambda ab: (ab[0] * 5e-324, (ab[0] + ab[1]) * 5e-324)
+            ),
+        ),
+        steps=st.integers(min_value=2, max_value=200),
+    )
+    def test_rows_equal_point_at(self, ends, steps):
+        z_min, z_max = ends
+        assume(z_min < z_max)
+        grid = np.linspace(z_min, z_max, steps).tolist()
+        assert scan(z_min, z_max, steps) == [point_at(0.0, xi) for xi in grid]
+
 
 class TestFalloff:
     def test_window_5_15(self):
@@ -363,6 +400,10 @@ class TestFalloff:
             falloff_fit(5.0, 5.0, 10)
         with pytest.raises(DomainError):
             falloff_fit(5.0, 15.0, 2)
+
+    def test_infinite_end_refused(self):
+        with pytest.raises(DomainError, match=r"^need 0 < z_lo < z_hi, got \[1, inf\]$"):
+            falloff_fit(1, math.inf)
 
 
 class TestHBound:
