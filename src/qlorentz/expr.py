@@ -23,7 +23,6 @@ inverse in the algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ExprError, ParseError
 
@@ -33,71 +32,88 @@ ATOM_NAMES = ("x", "t", "p", "H", "hbar", "c", "m", "i")
 _NO_INVERSE = frozenset({"x", "t"})
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Node:
+    """A tree node: equal only to a node of the same type with equal fields.
 
-    def __post_init__(self):
-        if self.name not in ATOM_NAMES:
-            raise ExprError(f"unknown atom {self.name!r}")
+    Nodes are immutable by convention, as ``Terms``, ``Poly`` and ``Coeff``
+    are: each ``__init__`` validates and normalizes its fields, and nothing
+    assigns to them afterwards (``algebra._power`` hands cached nodes out).
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Rational:
+class Atom(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        if name not in ATOM_NAMES:
+            raise ExprError(f"unknown atom {name!r}")
+        self.name = name
+
+
+class Rational(_Node):
     """Literal num/den, stored gcd-reduced with den > 0."""
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __init__(self, num, den=1):
+        if type(num) is not int or type(den) is not int:
+            raise ExprError(f"rational literal needs int parts, got {num!r}/{den!r}")
+        if den == 0:
             raise ExprError("rational literal with zero denominator")
-        num, den = self.num, self.den
         if den < 0:
             num, den = -num, -den
         g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num // g
+        self.den = den // g
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(_Node):
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if len(self.terms) < 2:
+    def __init__(self, terms):
+        terms = tuple(terms)
+        if len(terms) < 2:
             raise ExprError("Sum needs at least two terms")
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(_Node):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) < 2:
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if len(factors) < 2:
             raise ExprError("Product needs at least two factors")
+        self.factors = factors
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Power(_Node):
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int):
+    def __init__(self, base, exponent):
+        if type(exponent) is not int:
             raise ExprError("Power exponent must be an int")
-        if self.exponent < 0 and not (
-            isinstance(self.base, Atom) and self.base.name not in _NO_INVERSE
-        ):
+        if exponent < 0 and not (isinstance(base, Atom) and base.name not in _NO_INVERSE):
             raise ExprError("negative exponent requires an invertible atom")
-
-
-_NODE_TYPES = (Atom, Rational, Sum, Product, Power)
+        self.base = base
+        self.exponent = exponent
 
 
 def negate(e):
@@ -343,6 +359,6 @@ def _print_tree(e):
 
 def print_expr(e):
     """Canonical text for a tree; ``parse(print_expr(e)) == e``."""
-    if isinstance(e, _NODE_TYPES):
+    if isinstance(e, _Node):
         return _print_tree(e)
     raise TypeError(f"cannot print {type(e).__name__}")

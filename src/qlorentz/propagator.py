@@ -23,8 +23,8 @@ import functools
 import math
 import statistics
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import _kernels
 from .errors import (
@@ -85,7 +85,8 @@ def _interval(tau: float, xi: float) -> tuple[float, float]:
     spacelike pair underflows to 0) it is redone on operands scaled by a
     power of two, so z is finite for all finite inputs and positive
     exactly when the pair is spacelike; s itself saturates to +-inf or 0
-    beyond the double range.
+    beyond the double range.  The scaled product is NaN only for a NaN
+    coordinate or an inf - inf pair, which have no interval: DomainError.
     """
     s = (xi - tau) * (xi + tau)
     if _NORMAL_MIN <= s <= _NORMAL_MAX:
@@ -95,6 +96,8 @@ def _interval(tau: float, xi: float) -> tuple[float, float]:
     e = math.frexp(max(abs(tau), abs(xi)))[1]
     a, b = math.ldexp(xi, -e), math.ldexp(tau, -e)
     m = (a - b) * (a + b)
+    if math.isnan(m):
+        raise DomainError(f"(tau={tau!r}, xi={xi!r}) has no interval: xi^2 - tau^2 = {m!r}")
     z = math.ldexp(math.sqrt(m), e) if m > 0.0 else 0.0
     try:
         return math.ldexp(m, 2 * e), z
@@ -103,7 +106,10 @@ def _interval(tau: float, xi: float) -> tuple[float, float]:
 
 
 def interval(tau: float, xi: float) -> float:
-    """Squared interval tau^2 - xi^2 in lambda-bar^2 units (negative = spacelike)."""
+    """Squared interval tau^2 - xi^2 in lambda-bar^2 units (negative = spacelike).
+
+    DomainError for a NaN coordinate or an inf - inf pair, which have none.
+    """
     return -_interval(tau, xi)[0]
 
 
@@ -265,33 +271,19 @@ def _classify(s: float, z: float, criterion: ThresholdCriterion) -> Classificati
 def classify_interval(
     tau: float, xi: float, criterion: ThresholdCriterion
 ) -> Classification:
-    """The class of (tau, xi); DomainError where the interval is undefined.
-
-    ``_interval`` gives a NaN s only for a NaN coordinate or an inf - inf
-    pair, and maps it to z = 0.0, which would read as timelike.
-    """
-    s, z = _interval(tau, xi)
-    if math.isnan(s):
-        raise DomainError(f"(tau={tau!r}, xi={xi!r}) has no interval: xi^2 - tau^2 = {s!r}")
-    return _classify(s, z, criterion)
+    """The class of (tau, xi); DomainError where the interval is undefined."""
+    return _classify(*_interval(tau, xi), criterion)
 
 
 # ---------------------------------------------------------------------------
 # tabulation
 
 
-@dataclass(frozen=True)
-class PropagatorPoint:
-    """One spacelike point: its interval, the kernel-route amplitude, both classes."""
-
-    tau: float
-    xi: float
-    z: float
-    interval: float  # tau^2 - xi^2, as ``interval`` returns it
-    gamma: complex
-    prob: float
-    class_eq2: Classification
-    class_eq13: Classification
+PropagatorPoint = namedtuple(
+    "PropagatorPoint", "tau xi z interval gamma prob class_eq2 class_eq13"
+)
+PropagatorPoint.__doc__ = """One spacelike point: its interval (tau^2 - xi^2, as ``interval``
+returns it), the kernel-route amplitude and its probability, both classes."""
 
 
 def point_at(tau: float, xi: float) -> PropagatorPoint:

@@ -9,9 +9,9 @@ empty; there is no tolerance anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import NormalForm, normal_form
+from .algebra import normal_form
 from .errors import (
     DomainError,
     InvalidFrame,
@@ -35,14 +35,8 @@ _TNON_NEG = "-1/2*m*(p^-1*x + x*p^-1)"
 _HNON_INV_NEG = "-2*m*p^-2"
 
 
-@dataclass(frozen=True)
-class TheoremRecord:
-    id: str
-    lhs: object
-    rhs: object
-    citation: str
-    status: str
-    residual: NormalForm
+# lhs and rhs are trees; residual is the NormalForm lhs - rhs
+TheoremRecord = namedtuple("TheoremRecord", "id lhs rhs citation status residual")
 
 
 # id -> (lhs text, rhs text, citation)
@@ -185,33 +179,30 @@ def _check_speed(v, c):
         raise SpeedDomain(f"|v| = {abs(v)} exceeds c = {c}")
 
 
-@dataclass(frozen=True)
-class FrameState:
+class FrameState(namedtuple("FrameState", "v E p m c")):
     """A boost frame: velocity, energy, momentum, mass (and c).
 
     Construction validates the kinematic constraints
     E^2 = p^2 c^2 + m^2 c^4 and v = p c^2 / E.
     """
 
-    v: float
-    E: float
-    p: float
-    m: float
-    c: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.m > 0:
-            raise NonpositiveMass(f"mass must be positive, got {self.m}")
-        _check_speed(self.v, self.c)
-        shell = self.p**2 * self.c**2 + self.m**2 * self.c**4
-        if not abs(self.E**2 - shell) <= _REL_TOL * self.E**2:
-            raise InvalidFrame(
-                f"E^2 = {self.E**2} is off the mass shell {shell}"
-            )
-        if not abs(self.v * self.E - self.p * self.c**2) <= _REL_TOL * abs(self.E) * self.c:
-            raise InvalidFrame(
-                f"v = {self.v} is not p*c^2/E = {self.p * self.c**2 / self.E}"
-            )
+    def __new__(cls, v, E, p, m, c=1.0):
+        if not m > 0:
+            raise NonpositiveMass(f"mass must be positive, got {m}")
+        _check_speed(v, c)
+        shell = p**2 * c**2 + m**2 * c**4
+        if not abs(E**2 - shell) <= _REL_TOL * E**2:
+            raise InvalidFrame(f"E^2 = {E**2} is off the mass shell {shell}")
+        if not abs(v * E - p * c**2) <= _REL_TOL * abs(E) * c:
+            raise InvalidFrame(f"v = {v} is not p*c^2/E = {p * c**2 / E}")
+        return super().__new__(cls, v, E, p, m, c)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make and _replace build through tuple.__new__; check here too
+        return cls(*fields)
 
     @classmethod
     def from_velocity(cls, m, v, c=1.0):

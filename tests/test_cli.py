@@ -1,8 +1,10 @@
 """Command-line surface: goldens, exit codes, schemas, determinism."""
 
+import doctest
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -100,6 +102,14 @@ class TestImportDiet:
         blocked = run_child("block", commands)
         assert blocked["runs"] == run_child("open", commands)["runs"]
         assert blocked["loaded"] == ["mpmath"]
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # against a bare interpreter, so that the environment's own .pth imports do not count
+        listing = "import sys{}; print(*sys.modules)"
+        bare = set(run_python("-c", listing.format("")).stdout.split())
+        loaded = set(run_python("-c", listing.format(", qlorentz.cli")).stdout.split())
+        assert "qlorentz.cli" in loaded
+        assert not {"dataclasses", "inspect"} & (loaded - bare)
 
 
 class TestVerify:
@@ -201,6 +211,13 @@ class TestPropagator:
         )
         assert code == 2
         assert "spacelike" in err
+
+    @pytest.mark.parametrize("t,x", [("nan", "1"), ("1", "nan"), ("inf", "inf")])
+    def test_no_interval_refused(self, t, x):
+        code, out, err = run_cli("propagator", "--t", t, "--x", x)
+        assert code == 2
+        assert out == ""
+        assert "has no interval" in err
 
     @pytest.mark.parametrize("lambda_bar", ["0", "-1", "nan"])
     def test_lambda_bar_must_be_positive(self, lambda_bar):
@@ -445,7 +462,18 @@ def _readme_examples():
 _README_EXAMPLES = _readme_examples()
 
 
+class _FencedText(doctest.DocTestParser):
+    """README's ``>>>`` examples; a closing code fence ends the expected output."""
+
+    def parse(self, string, name="<string>"):
+        return super().parse(re.sub(r"(?m)^```.*$", "", string), name)
+
+
 class TestReadme:
+    def test_library_examples(self):
+        result = doctest.testfile(str(README), module_relative=False, parser=_FencedText())
+        assert result == (0, 8)
+
     def test_examples_found(self):
         assert len(_README_EXAMPLES) == 5
         assert all(argv[0] == "qlorentz" for argv, _ in _README_EXAMPLES)

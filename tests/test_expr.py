@@ -119,11 +119,47 @@ class TestAstValidation:
         with pytest.raises(ExprError):
             Atom("q")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Rational(True),
+            lambda: Rational(1, True),
+            lambda: Rational(1.5),
+            lambda: Power(Atom("x"), True),
+            lambda: Power(Atom("p"), 2.0),
+        ],
+        ids=["Rational(True)", "Rational(1, True)", "Rational(1.5)", "x^True", "p^2.0"],
+    )
+    def test_fields_must_be_ints(self, build):
+        # True would print as "True", which does not parse back
+        with pytest.raises(ExprError):
+            build()
+
     def test_negate_folds_signs(self):
         assert negate(Rational(2, 3)) == Rational(-2, 3)
         assert negate(Product((Rational(-2), Atom("x")))) == Product(
             (Rational(2), Atom("x"))
         )
+
+
+class TestNodeSemantics:
+    def test_equality_compares_the_type(self):
+        a, b = Atom("x"), Atom("t")
+        assert Sum((a, b)) != Product((a, b))
+        assert Sum((a, b)) == Sum([a, b])
+        assert Atom("x") != "x"
+        assert Rational(2) != 2
+
+    def test_equal_nodes_hash_equal(self):
+        text = "1/2*m^-1*c^-2*(H*x + x*H) - m^-1*t*p"
+        assert hash(parse(text)) == hash(parse(text))
+        assert hash(Rational(6, 4)) == hash(Rational(3, 2))
+        assert len({parse("x + t"), parse("x+t"), parse("x*t")}) == 2
+
+    def test_repr_is_a_constructor_call(self):
+        e = Power(Atom("p"), -2)
+        assert repr(e) == "Power(base=Atom(name='p'), exponent=-2)"
+        assert eval(repr(parse("3/4*x - t"))) == parse("3/4*x - t")
 
 
 # ---------------------------------------------------------------------------

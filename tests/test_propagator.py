@@ -181,7 +181,9 @@ class TestClassification:
         assert got is Classification.SPACELIKE_NONNEGLIGIBLE
 
     @pytest.mark.parametrize("criterion", list(ThresholdCriterion))
-    @pytest.mark.parametrize("tau,xi", [(math.nan, 1.0), (0.0, math.nan)])
+    @pytest.mark.parametrize(
+        "tau,xi", [(math.nan, 1.0), (0.0, math.nan), (1.0, math.nan), (math.inf, math.inf)]
+    )
     def test_nan_coordinate_refused(self, tau, xi, criterion):
         with pytest.raises(DomainError):
             classify_interval(tau, xi, criterion)
@@ -291,6 +293,16 @@ class TestIntervalProperties:
             gamma_bessel(1e200, 2e200)
         crit = ThresholdCriterion.AMPLITUDE_EQ2
         assert classify_interval(1e200, 2e200, crit) is Classification.SPACELIKE_NEGLIGIBLE
+
+    @pytest.mark.parametrize(
+        "fn", [interval, spacelike_z, point_at, gamma_bessel, gamma_quadrature],
+        ids=lambda fn: fn.__name__,
+    )
+    @pytest.mark.parametrize("tau,xi", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)])
+    def test_no_interval_refused(self, fn, tau, xi):
+        # a DomainError, not NotSpacelike: a NaN or inf - inf pair has no interval at all
+        with pytest.raises(DomainError, match=r"has no interval: xi\^2 - tau\^2 = nan$"):
+            fn(tau, xi)
 
 
 class TestScan:

@@ -138,6 +138,17 @@ class TestClassical:
         assert _rel_close(frame.E, 2.0 * gamma)
         assert _rel_close(frame.p, 2.0 * gamma * 0.6)
 
+    def test_frame_is_a_value(self):
+        frame = FrameState.from_velocity(2.0, 0.6)
+        assert frame == FrameState.from_velocity(2.0, 0.6)
+        assert frame == FrameState(*frame) == FrameState(**frame._asdict())
+        assert hash(frame) == hash(FrameState.from_velocity(2.0, 0.6))
+        assert frame != FrameState.from_velocity(2.0, 0.5)
+        assert frame.c == 1.0
+        assert frame._replace(m=4.0, E=2 * frame.E, p=2 * frame.p) == FrameState.from_velocity(4.0, 0.6)
+        with pytest.raises(SpeedDomain):
+            frame._replace(v=1.5)
+
     def test_speed_domain(self):
         with pytest.raises(SpeedDomain):
             lorentz_classical(0.0, 1.0, 1.0)
