@@ -136,25 +136,46 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 # oscillatory route
 #
 # Gamma = (1/2pi) int_0^inf cos(z sinh u) du.  The integrand oscillates
-# with slowly growing frequency and does not decay, so the integral only
-# exists as an Abel-summed alternating series of half-period arcs.  We
-# integrate each arc between consecutive zeros with a fixed
-# Gauss-Legendre rule and feed the arc magnitudes to the
+# and does not decay, so the integral only exists as an Abel-summed
+# alternating series of half-period arcs.  Each arc gets a fixed
+# Gauss-Legendre rule, and the arc magnitudes go to the
 # Cohen-Villegas-Zagier accelerator, which converges geometrically for
 # such series.  Working precision scales with z because the answer
-# shrinks like e^-z while the arcs stay O(1/z).  Only this route imports mpmath.
+# shrinks like e^-z while the arcs stay O(1/z).  Only this route imports
+# mpmath.
+#
+# For z >= 2 the integral is int_0^inf cos(z w) / sqrt(1 + w^2) dw (w =
+# sinh u), and arc n is [(n - 1/2) pi/z, (n + 1/2) pi/z].  At the rule's
+# nodes w = (n + x_k/2) pi/z, cos(z w) = (-1)^n cos(pi x_k/2), so the
+# cosines are computed once per call and each node costs one square
+# root and one division.  Arc 0 is taken as half of the symmetric arc
+# [-pi/2z, pi/2z], not as the half-length arc [0, pi/2z]: then every arc
+# applies the same rule to one smooth even function, and the rule's
+# errors cancel in the half-weighted alternating sum (Poisson summation)
+# down to an error relative to K0(z).  A half-length arc 0 has another
+# shape, and its rule error stays behind as a boundary term that does not
+# shrink with e^-z; at degree 4 it swamps the result past z ~ 120.
+#
+# Two self-checks guard the result.  The truncation check sums again
+# with the last _CHECK_DROP arcs withheld.  On z >= 2, the rule check
+# sums every arc again at _GL_DEGREE - 1, so a rule too coarse for the
+# arcs shows as a drift between the two sums.  The z < 2 branch (arcs in
+# u, between the zeros asinh((n + 1/2) pi/z)) has no rule check: its
+# result is at least K0(2) and its arcs are O(1), so nothing magnifies
+# the rule error there, and the coarser rule alone is off by 1e-7 near
+# z = 1e-4, which would refuse correct results.
 
-_GL_DEGREE = 4  # mpmath's Gauss-Legendre degree: 24 nodes per arc
+_GL_DEGREE = 4  # mpmath's Gauss-Legendre degree d: 3 * 2^(d - 1) nodes per arc
 
-_CHECK_DROP = 8  # arcs withheld for the convergence self-check
+_CHECK_DROP = 8  # arcs withheld for the truncation check
 _CHECK_TOL = 1e-8
 
 
 @functools.cache
-def _gl_nodes(prec):
+def _gl_nodes(prec, degree):
     from mpmath import mp
     from mpmath.calculus.quadrature import GaussLegendre
-    return GaussLegendre(mp).get_nodes(-1, 1, _GL_DEGREE, prec)
+    return GaussLegendre(mp).get_nodes(-1, 1, degree, prec)
 
 
 def _cvz(mp, terms):
@@ -172,12 +193,48 @@ def _cvz(mp, terms):
     return s / d
 
 
+def _w_arcs(mp, zz, narcs, degree):
+    # |arc n| of cos(z w) / sqrt(1 + w^2), arc 0 halved (z >= 2)
+    nodes = _gl_nodes(mp.mp.prec, degree)
+    half = mp.pi / (2 * zz)
+    shifts = [half * xk for xk, _ in nodes]
+    weights = [wk * mp.cos(mp.pi * xk / 2) for xk, wk in nodes]
+    terms = []
+    for n in range(narcs):
+        mid = 2 * n * half
+        s = mp.mpf(0)
+        for dx, c in zip(shifts, weights):
+            w = mid + dx
+            s += c / mp.sqrt(1 + w * w)
+        terms.append(half * s)
+    terms[0] /= 2
+    return terms
+
+
+def _u_arcs(mp, zz, narcs):
+    # |arc n| of cos(z sinh u) between consecutive zeros in u (z < 2)
+    nodes = _gl_nodes(mp.mp.prec, _GL_DEGREE)
+    terms = []
+    prev = mp.mpf(0)
+    for n in range(narcs):
+        nxt = mp.asinh((n + mp.mpf("0.5")) * mp.pi / zz)
+        mid = (prev + nxt) / 2
+        half = (nxt - prev) / 2
+        s = mp.mpf(0)
+        for xk, wk in nodes:
+            s += wk * mp.cos(zz * mp.sinh(mid + half * xk))
+        terms.append(abs(half * s))
+        prev = nxt
+    return terms
+
+
 def k0_oscillatory(z: float) -> float:
     """int_0^inf cos(z sinh u) du, the independent route to K0(z).
 
     Shares nothing with the kernel: different representation, different
-    arithmetic.  Raises NonConvergence when the internal self-check
-    (recomputing with the last few arcs withheld) disagrees.
+    arithmetic.  Raises NonConvergence when a self-check disagrees by
+    more than ``_CHECK_TOL`` relative: ``drift`` (last arcs withheld) or,
+    for z >= 2, ``rule_drift`` (every arc at the next lower degree).
     """
     import mpmath as mp
     z = _checked_z(z, "k0_oscillatory")
@@ -185,46 +242,22 @@ def k0_oscillatory(z: float) -> float:
     narcs = 36 + int(0.6 * z)
     with mp.workdps(dps):
         zz = mp.mpf(z)
-        nodes = _gl_nodes(mp.mp.prec)
         if z >= 2.0:
-            # substitute w = sinh u; zeros of cos(z w) are equally spaced
-            def f(w):
-                return mp.cos(zz * w) / mp.sqrt(1 + w * w)
-
-            def zero(n):
-                return (n + mp.mpf("0.5")) * mp.pi / zz
-
+            terms = _w_arcs(mp, zz, narcs, _GL_DEGREE)
+            checks = {"rule_drift": _cvz(mp, _w_arcs(mp, zz, narcs, _GL_DEGREE - 1))}
         else:
-            def f(u):
-                return mp.cos(zz * mp.sinh(u))
-
-            def zero(n):
-                return mp.asinh((n + mp.mpf("0.5")) * mp.pi / zz)
-
-        def arc(a, b):
-            mid = (a + b) / 2
-            half = (b - a) / 2
-            s = mp.mpf(0)
-            for xk, wk in nodes:
-                s += wk * f(mid + half * xk)
-            return half * s
-
-        terms = []
-        prev = mp.mpf(0)
-        for n in range(narcs):
-            nxt = zero(n)
-            terms.append(abs(arc(prev, nxt)))
-            prev = nxt
-
+            terms = _u_arcs(mp, zz, narcs)
+            checks = {}
         full = _cvz(mp, terms)
-        check = _cvz(mp, terms[:-_CHECK_DROP])
-        drift = abs(full - check) / abs(full)
-        if drift > _CHECK_TOL:
+        checks["drift"] = _cvz(mp, terms[:-_CHECK_DROP])
+        drifts = {k: float(abs(full - v) / abs(full)) for k, v in checks.items()}
+        if max(drifts.values()) > _CHECK_TOL:
             raise NonConvergence(
                 f"oscillatory sum for z={z:g} failed its self-check",
                 z=z,
                 arcs=narcs,
-                drift=float(drift),
+                degree=_GL_DEGREE,
+                **drifts,
             )
         return float(full)
 

@@ -269,6 +269,23 @@ class TestPropagator:
             "class_eq13 = spacelike_negligible\n"
         )
 
+    def test_golden_far_spacelike(self):
+        # both routes agree to the last printed digit at e^-200
+        code, out, err = run_cli("propagator", "--t", "0", "--x", "200", "--method", "both")
+        assert (code, err) == (0, "")
+        assert out == (
+            "tau = 0\n"
+            "xi = 200\n"
+            "z = 200\n"
+            "interval_over_lambdabar2 = -40000\n"
+            "gamma_bessel = 1.9507334574e-89 + 0*i\n"
+            "gamma_quadrature = 1.9507334574e-89 + 0*i\n"
+            "rel_discrepancy = 0\n"
+            "prob = 3.80536102182e-178\n"
+            "class_eq2 = spacelike_negligible\n"
+            "class_eq13 = spacelike_negligible\n"
+        )
+
     @pytest.mark.parametrize(
         "method,refusal",
         [
@@ -295,6 +312,14 @@ class TestPropagator:
         )
         assert code == 3
         assert "self-check" in err
+
+    def test_rule_check_refusal_names_its_drift(self, monkeypatch):
+        monkeypatch.setattr("qlorentz.propagator._GL_DEGREE", 2)
+        code, out, err = run_cli(
+            "propagator", "--t", "0", "--x", "200", "--method", "quadrature"
+        )
+        assert (code, out) == (3, "")
+        assert "degree=2" in err and "rule_drift=" in err
 
 
 _ERRORS = [

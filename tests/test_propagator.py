@@ -111,6 +111,25 @@ class TestOscillatoryRoute:
             k0_oscillatory(3.0)
         assert exc.value.diagnostics["z"] == 3.0
 
+    def test_against_mpmath_besselk(self):
+        # over the whole domain, both branches and the switch between them;
+        # the symmetric arcs' error is relative to K0(z), even at e^-700
+        zs = [float(z) for z in np.logspace(math.log10(1e-3), math.log10(699.0), 24)]
+        zs += [math.nextafter(2.0, 0.0), 2.0, 700.0]
+        with mp.workdps(30):
+            for z in zs:
+                assert rel(k0_oscillatory(z), float(mp.besselk(0, z))) <= 1e-10, z
+
+    def test_rule_check_sees_a_coarse_rule(self, monkeypatch):
+        # at degree 2 the arcs are off by ~6e-7, which the truncation check
+        # cannot see; the rule check against degree 1 must refuse
+        monkeypatch.setattr("qlorentz.propagator._GL_DEGREE", 2)
+        with pytest.raises(NonConvergence) as exc:
+            k0_oscillatory(200.0)
+        diag = exc.value.diagnostics
+        assert diag["degree"] == 2
+        assert diag["drift"] <= 1e-8 < diag["rule_drift"]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             k0_oscillatory(-2.0)
