@@ -22,6 +22,7 @@ produce identical term maps, so ``is_zero`` is just emptiness.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
@@ -40,29 +41,44 @@ class NormalForm(Terms):
         return NormalForm({(0, 0, 0): coeff} if coeff else {})
 
     def __mul__(self, other):
-        out = {}
+        # move (f, H^e1) across x^a2, with D f = f' + e1 * (p / shell) f:
+        # (f, H^e1) x^a2 = sum_k C(a2, k) (-i hbar)^k x^(a2-k) (D^k f, H^e1)
+        # and H^e1 H^e2 = c^2 shell when both flags are set
+        left_h = any(e1 for _, _, e1 in self.terms)
+        right = []
+        for (a2, b2, e2), c2 in other.terms.items():
+            # C(a2, k) (-i hbar)^k c2 for k = 0..a2, built once per term
+            factors = [c2] + [
+                c2.times_poly(Poly.monomial(comb(a2, k), eh=k, ei=3 * k))
+                for k in range(1, a2 + 1)
+            ]
+            shell = [f.times_poly(C2_SHELL) for f in factors] if e2 and left_h else None
+            right.append((a2, b2, e2, factors, shell))
+        top = max((a2 for a2, _, _ in other.terms), default=0)
+        parts = defaultdict(list)
         for (a1, b1, e1), c1 in self.terms.items():
-            for (a2, b2, e2), c2 in other.terms.items():
-                # move (c1, H^e1) across x^a2:
-                # (f, eps) x = x (f, eps) - i hbar (D f, eps) with
-                # D f = f' + eps * (p / shell) f, iterated binomially
-                cur = c1
-                for k in range(a2 + 1):
-                    if k:
-                        cur = _x_derivative(cur, e1)
-                    coeff = cur * c2
-                    coeff = coeff.times_poly(
-                        Poly.monomial(comb(a2, k), eh=k, ei=3 * k)
-                    )
+            # D^k c1 up to the highest x power on the right; D of a
+            # p-free coefficient is 0, and so is every later link
+            chain = [c1]
+            while len(chain) <= top:
+                d = _x_derivative(chain[-1], e1)
+                if not d:
+                    break
+                chain.append(d)
+            for a2, b2, e2, factors, shell in right:
+                if e1 and e2:
+                    factors, eps = shell, 0
+                else:
                     eps = e1 + e2
-                    if eps == 2:
-                        coeff = coeff.times_poly(C2_SHELL)
-                        eps = 0
-                    key = (a1 + a2 - k, b1 + b2, eps)
-                    acc = out.get(key)
-                    out[key] = coeff if acc is None else acc + coeff
-        # a sum can cancel, and so can a derivative: d/dp of m is 0
-        return NormalForm({key: c for key, c in out.items() if c})
+                for k, (d, f) in enumerate(zip(chain, factors)):
+                    parts[a1 + a2 - k, b1 + b2, eps].append(d * f)
+        out = {}
+        for key, ps in parts.items():
+            # a sum can cancel
+            c = Coeff.sum(ps)
+            if c:
+                out[key] = c
+        return NormalForm(out)
 
     def pow(self, n):
         if n < 0:

@@ -31,6 +31,21 @@ from fractions import Fraction
 MON_ONE = (0, 0, 0, 0, 0)
 
 
+def _merge(out, terms):
+    """Add the map terms into the dict out, dropping each sum that is zero."""
+    for key, g in terms.items():
+        acc = out.get(key)
+        if acc is None:
+            out[key] = g
+        else:
+            acc = acc + g
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
+
+
 class Terms:
     """Map key -> nonzero value; immutable by convention."""
 
@@ -52,18 +67,7 @@ class Terms:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, g in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = g
-            else:
-                acc = acc + g
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return type(self)(out)
+        return type(self)(_merge(dict(self.terms), other.terms))
 
     def __neg__(self):
         return type(self)({key: -g for key, g in self.terms.items()})
@@ -230,6 +234,18 @@ class Coeff:
 
     def __hash__(self):
         return hash((self.num, self.spow))
+
+    @staticmethod
+    def sum(parts):
+        """The sum of a nonempty sequence of Coeffs, reduced once."""
+        if len(parts) == 1:
+            return parts[0]
+        k = max([c.spow for c in parts])
+        nums = [c.num if c.spow == k else c.num * _shell_pow(k - c.spow) for c in parts]
+        out = dict(nums[0].terms)
+        for num in nums[1:]:
+            _merge(out, num.terms)
+        return Coeff(Poly(out), k)
 
     def __add__(self, other):
         k = max(self.spow, other.spow)

@@ -1,5 +1,6 @@
 """Normal-form engine: rewrite goldens, ring homomorphism, operator rules."""
 
+import math
 import random
 
 import pytest
@@ -147,27 +148,62 @@ def test_power_matches_repeated_mul():
         assert normal_form(Power(a, 3)) == na * na * na
 
 
+def _hand_derivative(coeffs, n):
+    """The tree of the n-th p-derivative of sum_k coeffs[k] p^k, assembled
+    from the raw coefficient list rather than the engine's own derivative."""
+    parts = []
+    for k, q in coeffs.items():
+        if k < n:
+            continue
+        scaled = Rational(q.num * math.perm(k, n), q.den)
+        if k == n:
+            parts.append(scaled)
+        elif k == n + 1:
+            parts.append(Product((scaled, Atom("p"))))
+        else:
+            parts.append(Product((scaled, Power(Atom("p"), k - n))))
+    if not parts:
+        return Rational(0)
+    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+
+
 def test_derivative_rule_against_hand_built_derivative():
-    """f(p)*x - x*f(p) must equal -i*hbar*f'(p), with f' assembled from
-    the raw coefficient list rather than the engine's own derivative."""
+    """f(p)*x - x*f(p) must equal -i*hbar*f'(p)."""
     rng = random.Random(37)
     x = Atom("x")
     for _ in range(60):
         f, coeffs = make_poly_tree(rng)
-        parts = []
-        for k, q in coeffs.items():
-            if k == 0:
-                continue
-            scaled = Rational(q.num * k, q.den)
-            if k == 1:
-                parts.append(scaled)
-            elif k == 2:
-                parts.append(Product((scaled, Atom("p"))))
-            else:
-                parts.append(Product((scaled, Power(Atom("p"), k - 1))))
-        fprime = parts[0] if len(parts) == 1 else Sum(tuple(parts))
+        fprime = _hand_derivative(coeffs, 1)
         expected = Product((Rational(-1), Atom("i"), Atom("hbar"), fprime))
         assert commutator(f, x) == normal_form(expected)
+
+
+@pytest.mark.parametrize(
+    "a,rule",
+    [
+        (2, "x^2*({0}) - 2*i*hbar*x*({1}) - hbar^2*({2})"),
+        (3, "x^3*({0}) - 3*i*hbar*x^2*({1}) - 3*hbar^2*x*({2}) + i*hbar^3*({3})"),
+    ],
+)
+def test_binomial_chain_against_hand_built_derivatives(a, rule):
+    """f(p)*x^a = sum_k C(a, k) (-i hbar)^k x^(a-k) f^(k)(p): the rule with
+    every f^(k) written out from the raw coefficients."""
+    rng = random.Random(41 + a)
+    for _ in range(30):
+        f, coeffs = make_poly_tree(rng)
+        derivatives = [print_expr(_hand_derivative(coeffs, k)) for k in range(a + 1)]
+        assert normal_form(Product((f, Power(Atom("x"), a)))) == nf(rule.format(*derivatives))
+
+
+def test_hamiltonian_derivative_against_hand_built_derivative():
+    """[f(p)*H, x] = -i*hbar*(f' + f*p/shell)*H, with p/shell*H written
+    p*c^2*H^-1 since H^2 = c^2*shell."""
+    rng = random.Random(47)
+    for _ in range(40):
+        f, coeffs = make_poly_tree(rng)
+        f0, f1 = (print_expr(_hand_derivative(coeffs, k)) for k in (0, 1))
+        expected = nf(f"-i*hbar*(({f1})*H + ({f0})*p*c^2*H^-1)")
+        assert commutator(Product((f, Atom("H"))), Atom("x")) == expected
 
 
 def test_round_trip_through_text():

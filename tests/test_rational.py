@@ -268,3 +268,34 @@ def test_canonical_form_invariant():
     results += [xprime.pow(k) for k in range(4)]
     for value in results:
         _assert_canonical(value)
+
+
+def test_coeff_sum_matches_left_fold():
+    """Coeff.sum(parts) equals the left fold of + over parts with mixed
+    shell powers, when the parts cancel and when their sum is divisible by
+    the shell; the result is canonical and the parts are left unchanged."""
+    rng = random.Random(151)
+    cases = []
+    for _ in range(40):
+        parts = [_rand_coeff(rng) for _ in range(rng.randint(1, 5))]
+        cases.append(parts)
+        cases.append(parts + [-c for c in reversed(parts)])
+        # a and b carry shell powers; the sum f is shell-free
+        a, b = Coeff(_rand_poly(rng), rng.randint(1, 2)), Coeff(_rand_poly(rng), 1)
+        f = Coeff(_rand_poly(rng))
+        cases.append([a, b, f - a - b])
+    for parts in cases:
+        before = [(dict(c.num.terms), c.spow) for c in parts]
+        got = Coeff.sum(parts)
+        expect = parts[0]
+        for c in parts[1:]:
+            expect = expect + c
+        assert got == expect
+        assert [(c.num.terms, c.spow) for c in parts] == before
+        if got:
+            _assert_canonical(NormalForm.scalar(got))
+        else:
+            assert got.spow == 0
+    # the cancelling and the shell-divisible lists are all there
+    assert sum(not Coeff.sum(parts) for parts in cases) >= 40
+    assert sum(Coeff.sum(parts).spow < max(c.spow for c in parts) for parts in cases) >= 40

@@ -15,7 +15,14 @@ from pathlib import Path
 
 from qlorentz.algebra import normal_form
 from qlorentz.expr import Power, parse
-from qlorentz.theorems import SUITE, lorentz_operators, negative_branch_record, run_theorem
+from qlorentz.theorems import (
+    SUITE,
+    TPRIME,
+    XPRIME,
+    lorentz_operators,
+    negative_branch_record,
+    run_theorem,
+)
 
 from conftest import make_tree
 
@@ -58,6 +65,13 @@ def corpus():
     for _ in range(1000):
         source = _random_sum(rng)
         yield source, normal_form(parse(source)).to_text()
+    # the heaviest normal forms of the algebra benchmark, as it spells them
+    for name, text in (
+        ("(x')^6", f"({XPRIME})^6"),
+        ("(t')^6", f"({TPRIME})^6"),
+        ("(x')^3*(t')^3", f"({XPRIME})^3*({TPRIME})^3"),
+    ):
+        yield name, normal_form(parse(text)).to_text()
 
 
 def test_to_text_matches_corpus():
