@@ -61,7 +61,7 @@ class NormalForm(Terms):
             # p-free coefficient is 0, and so is every later link
             chain = [c1]
             while len(chain) <= top:
-                d = _x_derivative(chain[-1], e1)
+                d = chain[-1].diff_p(e1)
                 if not d:
                     break
                 chain.append(d)
@@ -103,14 +103,6 @@ class NormalForm(Terms):
 
 
 NF_ONE = NormalForm.scalar(Coeff.one())
-
-
-def _x_derivative(coeff, eps):
-    """The commutation derivative: [f(p) H^eps, x] = -i hbar * this * H^eps."""
-    d = coeff.diff_p()
-    if eps:
-        d = d + coeff.times_p_over_shell()
-    return d
 
 
 # ---------------------------------------------------------------------------

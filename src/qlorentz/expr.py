@@ -165,10 +165,17 @@ def _tokenize(text):
     return toks
 
 
+# each level of parentheses takes four frames of the parser and one or two
+# of the evaluator and the printer, so this keeps all three well inside
+# the interpreter's recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.idx]
@@ -254,8 +261,14 @@ class _Parser:
     def base(self):
         tok = self.peek()
         if tok[0] == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", tok[2], expected=()
+                )
             self.advance()
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             self.expect(")", expected=(")",))
             return e
         if tok[0] == "name":

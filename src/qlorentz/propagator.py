@@ -214,18 +214,26 @@ def _w_arcs(mp, zz, narcs, degree):
 def _u_arcs(mp, zz, narcs):
     # |arc n| of cos(z sinh u) between consecutive zeros in u (z < 2)
     nodes = _gl_nodes(mp.mp.prec, _GL_DEGREE)
-    terms = []
-    prev = mp.mpf(0)
-    for n in range(narcs):
-        nxt = mp.asinh((n + mp.mpf("0.5")) * mp.pi / zz)
+
+    def arc(prev, nxt):
         mid = (prev + nxt) / 2
         half = (nxt - prev) / 2
         s = mp.mpf(0)
         for xk, wk in nodes:
             s += wk * mp.cos(zz * mp.sinh(mid + half * xk))
-        terms.append(abs(half * s))
-        prev = nxt
-    return terms
+        return half * s
+
+    zeros = [mp.asinh((n + mp.mpf("0.5")) * mp.pi / zz) for n in range(narcs)]
+    # arc 0, [0, ~ln(pi/z)], is flat but for the last O(1) before its zero,
+    # and one rule on all of it is off by 1.7e-5 at z = 1e-50: integrate it in
+    # pieces of 4, 8, 16, ... going back from the zero, the last ending at 0
+    s = mp.mpf(0)
+    hi, width = zeros[0], 4
+    while hi > 0:
+        lo = hi - width if hi > width else mp.mpf(0)
+        s += arc(lo, hi)
+        hi, width = lo, 2 * width
+    return [abs(s)] + [abs(arc(prev, nxt)) for prev, nxt in zip(zeros, zeros[1:])]
 
 
 def k0_oscillatory(z: float) -> float:

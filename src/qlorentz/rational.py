@@ -248,10 +248,7 @@ class Coeff:
         return Coeff(Poly(out), k)
 
     def __add__(self, other):
-        k = max(self.spow, other.spow)
-        a = self.num if self.spow == k else self.num * _shell_pow(k - self.spow)
-        b = other.num if other.spow == k else other.num * _shell_pow(k - other.spow)
-        return Coeff(a + b, k)
+        return Coeff.sum((self, other))
 
     def __neg__(self):
         return Coeff(-self.num, self.spow)
@@ -268,12 +265,14 @@ class Coeff:
     def scale(self, q):
         return Coeff(self.num.scale(q), self.spow)
 
-    def diff_p(self):
-        # d/dp [N shell^-k] = (N' shell - k N (2p)) shell^-(k+1)
+    def diff_p(self, eps=0):
+        # d/dp + eps p/shell, the derivative that moves f H^eps across x:
+        # (N shell^-k)' + eps p N shell^-(k+1)
+        #   = (N' shell - (2k - eps) p N) shell^-(k+1)
         k = self.spow
-        num = self.num.diff_p() * SHELL
-        if k:
-            num = num - self.num.shift(ep=1).scale(2 * k)
+        if not k and not eps:
+            return Coeff(self.num.diff_p())
+        num = self.num.diff_p() * SHELL - self.num.shift(ep=1).scale(2 * k - eps)
         return Coeff(num, k + 1)
 
     def times_p_over_shell(self):

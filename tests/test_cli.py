@@ -166,6 +166,12 @@ class TestNormalize:
         assert code == 2
         assert "offset 3" in err
 
+    def test_deep_nesting_is_a_parse_error(self):
+        code, out, err = run_cli("normalize", "(" * 400 + "x" + ")" * 400)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCommutator:
     @pytest.mark.parametrize(

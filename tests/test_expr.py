@@ -101,6 +101,14 @@ class TestErrors:
         with pytest.raises(ParseError, match="offset 3"):
             parse("x*(")
 
+    def test_deep_nesting(self):
+        # refused at the first parenthesis past the limit, not by the
+        # interpreter's recursion limit
+        assert parse("(" * 100 + "x" + ")" * 100) == Atom("x")
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 400 + "x" + ")" * 400)
+        assert exc.value.position == 100
+
 
 class TestAstValidation:
     def test_power_negative_exponent_on_x_rejected(self):

@@ -116,6 +116,8 @@ class TestOscillatoryRoute:
         # the symmetric arcs' error is relative to K0(z), even at e^-700
         zs = [float(z) for z in np.logspace(math.log10(1e-3), math.log10(699.0), 24)]
         zs += [math.nextafter(2.0, 0.0), 2.0, 700.0]
+        # the small-z end, where arc 0 is ~ln(1/z) long and flat but for its tail
+        zs += [1e-8, 1e-12, 1e-50, 1e-300, 5e-324]
         with mp.workdps(30):
             for z in zs:
                 assert rel(k0_oscillatory(z), float(mp.besselk(0, z))) <= 1e-10, z

@@ -190,19 +190,24 @@ class TestCoeff:
         assert s.num == SHELL * SHELL + P_P
 
     def test_diff_quotient_rule(self):
-        # d/dp [N / shell^k] evaluated two ways: structurally, and by
-        # differentiating the equivalent single-denominator polynomial
-        # N' * shell - 2 k p N over shell^(k+1).
+        # (d/dp + eps p/shell) [N / shell^k] for eps in {0, 1}, evaluated
+        # two ways: structurally, and by differentiating the equivalent
+        # single-denominator polynomial N' * shell - (2k - eps) p N over
+        # shell^(k+1); at eps = 1 it is also f' + (p / shell) f.
         rng = random.Random(59)
-        two_p = Poly.monomial(2, ep=1)
         for _ in range(30):
             a = _rand_coeff(rng)
-            got = a.diff_p()
-            expect = Coeff(
-                a.num.diff_p() * SHELL - two_p.scale(a.spow) * a.num,
-                a.spow + 1,
-            )
-            assert got == expect
+            for eps in (0, 1):
+                got = a.diff_p(eps)
+                expect = Coeff(
+                    a.num.diff_p() * SHELL - P_P.scale(2 * a.spow - eps) * a.num,
+                    a.spow + 1,
+                )
+                assert got == expect
+                _assert_canonical(NormalForm.scalar(got))
+            assert a.diff_p(1) == a.diff_p() + a.times_p_over_shell()
+            if a.spow == 0:
+                assert a.diff_p() == Coeff(a.num.diff_p())
 
     def test_times_p_over_shell(self):
         a = Coeff(P_ONE, 0)
