@@ -142,28 +142,46 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 # Cohen-Villegas-Zagier accelerator, which converges geometrically for
 # such series.  Working precision scales with z because the answer
 # shrinks like e^-z while the arcs stay O(1/z).  Only this route imports
-# mpmath.
+# mpmath, and it uses it for little more than the rule's nodes: the arcs
+# and the accelerator run on fixed-point Python ints with F = 16 + 3.33 dps
+# fraction bits (``bits``), ~dps decimal digits.
 #
-# For z >= 2 the integral is int_0^inf cos(z w) / sqrt(1 + w^2) dw (w =
-# sinh u), and arc n is [(n - 1/2) pi/z, (n + 1/2) pi/z].  At the rule's
-# nodes w = (n + x_k/2) pi/z, cos(z w) = (-1)^n cos(pi x_k/2), so the
-# cosines are computed once per call and each node costs one square
-# root and one division.  Arc 0 is taken as half of the symmetric arc
-# [-pi/2z, pi/2z], not as the half-length arc [0, pi/2z]: then every arc
-# applies the same rule to one smooth even function, and the rule's
-# errors cancel in the half-weighted alternating sum (Poisson summation)
-# down to an error relative to K0(z).  A half-length arc 0 has another
-# shape, and its rule error stays behind as a boundary term that does not
-# shrink with e^-z; at degree 4 it swamps the result past z ~ 120.
+# In w = sinh u the integral is int_0^inf cos(z w) / sqrt(1 + w^2) dw, and
+# arc n is [(n - 1/2) pi/z, (n + 1/2) pi/z].  With h = pi/2z and the nodes
+# at w = h v_k, v_k = 2n + x_k, cos(z w) = (-1)^n cos(pi x_k/2), so
 #
-# Two self-checks guard the result.  The truncation check sums again
-# with the last _CHECK_DROP arcs withheld.  On z >= 2, the rule check
-# sums every arc again at _GL_DEGREE - 1, so a rule too coarse for the
-# arcs shows as a drift between the two sums.  The z < 2 branch (arcs in
-# u, between the zeros asinh((n + 1/2) pi/z)) has no rule check: its
-# result is at least K0(2) and its arcs are O(1), so nothing magnifies
-# the rule error there, and the coarser rule alone is off by 1e-7 near
-# z = 1e-4, which would refuse correct results.
+#     |arc n| = sum_k c_k / sqrt(h^-2 + v_k^2),   c_k = w_k cos(pi x_k/2),
+#
+# one isqrt and one division per node on ints.  The scaling by h keeps
+# each node's F bits for any z.  In the form h c_k / sqrt(1 + w^2) the
+# quotient is ~ z c_k / v_k: in fixed point it loses a bit for each halving
+# of z, and below z ~ 2^-F every arc n >= 1 is 0.  Arc 0 differs by branch:
+#
+# * z >= 2: half of the symmetric arc [-pi/2z, pi/2z] (v_k = x_k), not the
+#   half-length arc [0, pi/2z].  Then every arc applies the same rule to
+#   one smooth even function, and the rule's errors cancel in the
+#   half-weighted alternating sum (Poisson summation) down to an error
+#   relative to K0(z).  A half-length arc 0 has another shape, and its rule
+#   error stays behind as a boundary term that does not shrink with e^-z;
+#   at degree 4 it swamps the result past z ~ 120.
+# * z < 2: arc 0 in u, [0, asinh(pi/2z)], is ~ln(1/z) long and flat but for
+#   the last O(1) before its zero; one rule on all of it is off by 1.7e-5
+#   at z = 1e-50.  It is integrated in mpf in pieces of 4, 8, 16, ...
+#   going back from the zero, the last ending at 0, and then rounded to F
+#   bits.  These are the route's only per-node cos and sinh.
+#
+# The accelerator is exact: its d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n)/2 is
+# the integer sequence 1, 3, 17, 99, ... and its Chebyshev coefficients b
+# are integers, so the sum is one ratio of ints, rounded once to a double.
+#
+# Node tables are built once per process, lazily, per degree and per
+# power-of-two rung of precision at or above F; a call takes its F bits from
+# the rung by a shift, so its value depends on z alone.
+#
+# Two self-checks guard the result on both branches.  The truncation check
+# sums again with the last _CHECK_DROP arcs withheld.  The rule check sums
+# every arc again at _GL_DEGREE - 1, so a rule too coarse for the arcs
+# shows as a drift between the two sums.
 
 _GL_DEGREE = 4  # mpmath's Gauss-Legendre degree d: 3 * 2^(d - 1) nodes per arc
 
@@ -172,68 +190,67 @@ _CHECK_TOL = 1e-8
 
 
 @functools.cache
-def _gl_nodes(prec, degree):
+def _gl_table(degree, rung):
+    # ((x_k, w_k) in mpf, x_k 2^rung, c_k 2^rung, pi 2^rung) on [-1, 1]
     from mpmath import mp
     from mpmath.calculus.quadrature import GaussLegendre
-    return GaussLegendre(mp).get_nodes(-1, 1, degree, prec)
+    nodes = GaussLegendre(mp).get_nodes(-1, 1, degree, rung)
+    with mp.workprec(rung + 20):
+        xs = [int(mp.ldexp(x, rung)) for x, _ in nodes]
+        cs = [int(mp.ldexp(w * mp.cos(mp.pi * x / 2), rung)) for x, w in nodes]
+        return nodes, xs, cs, int(mp.ldexp(mp.pi, rung))
 
 
-def _cvz(mp, terms):
-    # Cohen-Villegas-Zagier acceleration of sum (-1)^k terms[k], terms > 0.
-    n = len(terms)
-    d = (3 + mp.sqrt(8)) ** n
-    d = (d + 1 / d) / 2
-    b = mp.mpf(-1)
-    c = -d
-    s = mp.mpf(0)
-    for k in range(n):
-        c = b - c
-        s += c * terms[k]
-        b = (k + n) * (k - n) * b / ((k + mp.mpf("0.5")) * (k + 1))
-    return s / d
+def _u_arc0(mp, zz, nodes):
+    # arc 0 of cos(z sinh u), [0, asinh(pi/2z)], in pieces (z < 2)
+    s = mp.zero
+    hi, width = mp.asinh(mp.pi / (2 * zz)), 4
+    while hi > 0:
+        lo = hi - width if hi > width else mp.zero
+        mid, half = (hi + lo) / 2, (hi - lo) / 2
+        s += half * mp.fsum(w * mp.cos(zz * mp.sinh(mid + half * x)) for x, w in nodes)
+        hi, width = lo, 2 * width
+    return s
 
 
-def _w_arcs(mp, zz, narcs, degree):
-    # |arc n| of cos(z w) / sqrt(1 + w^2), arc 0 halved (z >= 2)
-    nodes = _gl_nodes(mp.mp.prec, degree)
-    half = mp.pi / (2 * zz)
-    shifts = [half * xk for xk, _ in nodes]
-    weights = [wk * mp.cos(mp.pi * xk / 2) for xk, wk in nodes]
-    terms = []
-    for n in range(narcs):
-        mid = 2 * n * half
-        s = mp.mpf(0)
-        for dx, c in zip(shifts, weights):
-            w = mid + dx
-            s += c / mp.sqrt(1 + w * w)
-        terms.append(half * s)
-    terms[0] /= 2
+def _arcs(z, bits, narcs, degree):
+    # |arc n| * 2^bits as ints, n < narcs, arc 0 by branch
+    rung = 1 << (bits - 1).bit_length()
+    nodes, xs, cs, pi = _gl_table(degree, rung)
+    shift = rung - bits
+    xs = [x >> shift for x in xs]
+    cs = [c >> shift << bits for c in cs]
+    num, den = z.as_integer_ratio()
+    hinv = (num << (bits + rung + 1)) // (den * pi)  # (2z/pi) 2^bits
+    q = hinv * hinv
+    isqrt = math.isqrt
+    if z >= 2.0:
+        terms = [sum([c // isqrt(q + x * x) for x, c in zip(xs, cs)]) // 2]
+    else:
+        from mpmath import mp
+        with mp.workprec(bits):
+            terms = [int(mp.ldexp(_u_arc0(mp, mp.mpf(z), nodes), bits))]
+    for n in range(1, narcs):
+        mid = 2 * n << bits
+        terms.append(sum([c // isqrt(q + (mid + x) ** 2) for x, c in zip(xs, cs)]))
     return terms
 
 
-def _u_arcs(mp, zz, narcs):
-    # |arc n| of cos(z sinh u) between consecutive zeros in u (z < 2)
-    nodes = _gl_nodes(mp.mp.prec, _GL_DEGREE)
-
-    def arc(prev, nxt):
-        mid = (prev + nxt) / 2
-        half = (nxt - prev) / 2
-        s = mp.mpf(0)
-        for xk, wk in nodes:
-            s += wk * mp.cos(zz * mp.sinh(mid + half * xk))
-        return half * s
-
-    zeros = [mp.asinh((n + mp.mpf("0.5")) * mp.pi / zz) for n in range(narcs)]
-    # arc 0, [0, ~ln(pi/z)], is flat but for the last O(1) before its zero,
-    # and one rule on all of it is off by 1.7e-5 at z = 1e-50: integrate it in
-    # pieces of 4, 8, 16, ... going back from the zero, the last ending at 0
-    s = mp.mpf(0)
-    hi, width = zeros[0], 4
-    while hi > 0:
-        lo = hi - width if hi > width else mp.mpf(0)
-        s += arc(lo, hi)
-        hi, width = lo, 2 * width
-    return [abs(s)] + [abs(arc(prev, nxt)) for prev, nxt in zip(zeros, zeros[1:])]
+def _cvz(terms):
+    # Cohen-Villegas-Zagier acceleration of sum (-1)^k terms[k], terms > 0,
+    # in exact integers: (s, d) with the sum s/d
+    n = len(terms)
+    d_prev, d = 3, 1  # d_-1, d_0 of d_n = 6 d_(n-1) - d_(n-2)
+    for _ in range(n):
+        d_prev, d = d, 6 * d - d_prev
+    b = -1
+    c = -d
+    s = 0
+    for k, t in enumerate(terms):
+        c = b - c
+        s += c * t
+        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
+    return s, d
 
 
 def k0_oscillatory(z: float) -> float:
@@ -241,33 +258,31 @@ def k0_oscillatory(z: float) -> float:
 
     Shares nothing with the kernel: different representation, different
     arithmetic.  Raises NonConvergence when a self-check disagrees by
-    more than ``_CHECK_TOL`` relative: ``drift`` (last arcs withheld) or,
-    for z >= 2, ``rule_drift`` (every arc at the next lower degree).
+    more than ``_CHECK_TOL`` relative: ``drift`` (last arcs withheld) or
+    ``rule_drift`` (every arc at the next lower degree).
     """
-    import mpmath as mp
     z = _checked_z(z, "k0_oscillatory")
     dps = 25 + int(0.55 * z)
     narcs = 36 + int(0.6 * z)
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        if z >= 2.0:
-            terms = _w_arcs(mp, zz, narcs, _GL_DEGREE)
-            checks = {"rule_drift": _cvz(mp, _w_arcs(mp, zz, narcs, _GL_DEGREE - 1))}
-        else:
-            terms = _u_arcs(mp, zz, narcs)
-            checks = {}
-        full = _cvz(mp, terms)
-        checks["drift"] = _cvz(mp, terms[:-_CHECK_DROP])
-        drifts = {k: float(abs(full - v) / abs(full)) for k, v in checks.items()}
-        if max(drifts.values()) > _CHECK_TOL:
-            raise NonConvergence(
-                f"oscillatory sum for z={z:g} failed its self-check",
-                z=z,
-                arcs=narcs,
-                degree=_GL_DEGREE,
-                **drifts,
-            )
-        return float(full)
+    bits = 16 + int(3.33 * dps)
+    terms = _arcs(z, bits, narcs, _GL_DEGREE)
+    s, d = _cvz(terms)
+    checks = {
+        "rule_drift": _cvz(_arcs(z, bits, narcs, _GL_DEGREE - 1)),
+        "drift": _cvz(terms[:-_CHECK_DROP]),
+    }
+    # |s/d - sc/dc| / |s/d|, one correctly rounded ratio of ints each
+    drifts = {k: abs(s * dc - sc * d) / abs(s * dc) for k, (sc, dc) in checks.items()}
+    if max(drifts.values()) > _CHECK_TOL:
+        raise NonConvergence(
+            f"oscillatory sum for z={z:g} failed its self-check",
+            z=z,
+            arcs=narcs,
+            degree=_GL_DEGREE,
+            dps=dps,
+            **drifts,
+        )
+    return s / (d << bits)
 
 
 def gamma_quadrature(tau: float, xi: float) -> complex:

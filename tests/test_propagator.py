@@ -1,7 +1,10 @@
 """Numeric amplitude: kernel accuracy, route agreement, classification."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlorentz import _kernels
+import qlorentz
+from qlorentz import _kernels, propagator
 from qlorentz.errors import (
     DomainError,
     NonConvergence,
@@ -129,8 +133,49 @@ class TestOscillatoryRoute:
         with pytest.raises(NonConvergence) as exc:
             k0_oscillatory(200.0)
         diag = exc.value.diagnostics
-        assert diag["degree"] == 2
+        assert diag["degree"] == 2 and diag["dps"] == 135
         assert diag["drift"] <= 1e-8 < diag["rule_drift"]
+
+    @pytest.mark.parametrize("z", [1e-50, 1e-8])
+    def test_rule_check_sees_a_one_arc_arc0(self, monkeypatch, z):
+        # arc 0 of the z < 2 branch as one arc, the shape that was off by
+        # 1.7e-5 at z = 1e-50: the truncation check cannot see it
+        def one_arc(mp, zz, nodes):
+            half = mp.asinh(mp.pi / (2 * zz)) / 2
+            return half * mp.fsum(w * mp.cos(zz * mp.sinh(half + half * x)) for x, w in nodes)
+
+        monkeypatch.setattr("qlorentz.propagator._u_arc0", one_arc)
+        with pytest.raises(NonConvergence) as exc:
+            k0_oscillatory(z)
+        diag = exc.value.diagnostics
+        assert diag["drift"] <= 1e-8 < diag["rule_drift"]
+
+    @pytest.mark.parametrize("step,value", [(1, lambda: mp.log(2)), (2, lambda: mp.pi / 4)])
+    def test_cvz_sums_alternating_series(self, step, value):
+        # sum (-1)^k / (step k + 1) on 100-bit fixed-point terms: ln 2, pi/4
+        bits = 100
+        s, d = propagator._cvz([(1 << bits) // (step * k + 1) for k in range(36)])
+        with mp.workdps(40):
+            assert abs(mp.mpf(s) / (d << bits) - value()) <= 1e-25
+
+    def test_value_does_not_depend_on_the_node_cache(self):
+        zs = [1e-50, 1.0, 10.0]
+        code = f"from qlorentz.propagator import k0_oscillatory as f; print([f(z) for z in {zs!r}])"
+        src = os.path.dirname(os.path.dirname(qlorentz.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        fresh = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        expected = fresh.stdout.strip()
+        k0_oscillatory(700.0)  # tables at the highest rung
+        assert repr([k0_oscillatory(z) for z in zs]) == expected
+        propagator._gl_table.cache_clear()
+        assert repr([k0_oscillatory(z) for z in zs]) == expected
 
     def test_domain(self):
         with pytest.raises(DomainError):
