@@ -23,8 +23,9 @@ inverse in the algebra.
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import ExprError, ParseError
+from .errors import DomainError, ExprError, ParseError
 
 ATOM_NAMES = ("x", "t", "p", "H", "hbar", "c", "m", "i")
 
@@ -131,36 +132,44 @@ def negate(e):
 # ---------------------------------------------------------------------------
 # lexer
 
-_PUNCT = {"+": "+", "-": "-", "*": "*", "^": "^", "/": "/", "(": "(", ")": ")"}
+_PUNCT = "+-*^/()"
+
+
+def _unexpected(value, pos, expected, what="token"):
+    """The error for what may not stand at pos; a value of None is the end of input."""
+    text = "end of input" if value is None else f"{what} {str(value)!r}"
+    return ParseError(f"unexpected {text}", pos, expected)
 
 
 def _tokenize(text):
-    """Yield (kind, value, offset) triples; kind 'int' | 'name' | punctuation."""
+    """(kind, value, offset) triples, kind 'int' | 'name' | punctuation, then 'end'."""
     toks = []
     n = len(text)
     pos = 0
     while pos < n:
         ch = text[pos]
+        start = pos
+        pos += 1
         if ch in " \t\r\n":
-            pos += 1
             continue
         if ch in _PUNCT:
-            toks.append((_PUNCT[ch], ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
+            toks.append((ch, ch, start))
+        elif ch.isdecimal():  # exactly the digits int() reads; "²" is isdigit() only
+            while pos < n and text[pos].isdecimal():
                 pos += 1
-            toks.append(("int", int(text[start:pos]), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
+            try:
+                toks.append(("int", int(text[start:pos]), start))
+            except ValueError:  # the interpreter's int/str digit limit
+                raise ParseError(
+                    f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                    start,
+                ) from None
+        elif ch.isalpha() or ch == "_":
             while pos < n and (text[pos].isalnum() or text[pos] == "_"):
                 pos += 1
             toks.append(("name", text[start:pos], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos, expected=("token",))
+        else:
+            raise _unexpected(ch, start, ("token",), "character")
     toks.append(("end", None, n))
     return toks
 
@@ -171,128 +180,82 @@ def _tokenize(text):
 _MAX_NESTING = 100
 
 
+def _build(node, pos, expected, *args):
+    """node(*args); the node's own check refuses it as a ParseError at pos."""
+    try:
+        return node(*args)
+    except ExprError as exc:
+        raise ParseError(str(exc), pos, expected) from None
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.idx = 0
         self.depth = 0
 
-    def peek(self):
-        return self.toks[self.idx]
+    def accept(self, kind):
+        """Consume the next token if it is of this kind, and say whether it was."""
+        if self.toks[self.idx][0] != kind:
+            return False
+        self.idx += 1
+        return True
 
-    def advance(self):
+    def expect(self, kind, expected):
         tok = self.toks[self.idx]
+        if tok[0] != kind:
+            raise _unexpected(tok[1], tok[2], expected)
         self.idx += 1
         return tok
 
-    def expect(self, kind, expected):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {self._describe(tok)}", tok[2], expected=expected)
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok):
-        if tok[0] == "end":
-            return "end of input"
-        return f"token {str(tok[1])!r}"
-
     def parse(self):
         e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(
-                f"unexpected {self._describe(tok)}",
-                tok[2],
-                expected=("+", "-", "*", "end of input"),
-            )
+        self.expect("end", ("+", "-", "*", "end of input"))
         return e
 
     def expr(self):
         terms = [self.term()]
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while (op := self.toks[self.idx][0]) in ("+", "-"):
+            self.idx += 1
             t = self.term()
             terms.append(negate(t) if op == "-" else t)
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        return terms[0] if len(terms) == 1 else Sum(terms)
 
     def term(self):
         factors = [self.factor()]
-        while self.peek()[0] == "*":
-            self.advance()
+        while self.accept("*"):
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return factors[0] if len(factors) == 1 else Product(factors)
 
     def factor(self):
-        negated = False
-        if self.peek()[0] == "-":
-            self.advance()
-            negated = True
+        negated = self.accept("-")
         base = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            exponent, exp_pos = self.signed_int()
-            if exponent < 0:
-                if not isinstance(base, Atom):
-                    raise ParseError(
-                        "negative exponent requires an invertible atom", exp_pos, expected=()
-                    )
-                if base.name in _NO_INVERSE:
-                    raise ParseError(
-                        f"negative exponent not allowed on {base.name}", exp_pos, expected=()
-                    )
-            base = Power(base, exponent)
+        if self.accept("^"):
+            pos = self.toks[self.idx][2]
+            sign = -1 if self.accept("-") else 1
+            exponent = sign * self.expect("int", ("integer",))[1]
+            base = _build(Power, pos, (), base, exponent)
         return negate(base) if negated else base
 
-    def signed_int(self):
-        sign = 1
-        tok = self.peek()
-        pos = tok[2]
-        if tok[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.expect("int", expected=("integer",))
-        return sign * tok[1], pos
-
     def base(self):
-        tok = self.peek()
-        if tok[0] == "(":
+        kind, value, pos = self.toks[self.idx]
+        self.idx += 1
+        if kind == "(":
             if self.depth == _MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING}", tok[2], expected=()
-                )
-            self.advance()
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             self.depth += 1
             e = self.expr()
             self.depth -= 1
-            self.expect(")", expected=(")",))
+            self.expect(")", (")",))
             return e
-        if tok[0] == "name":
-            if tok[1] not in ATOM_NAMES:
-                raise ParseError(
-                    f"unknown atom {tok[1]!r}", tok[2], expected=ATOM_NAMES
-                )
-            self.advance()
-            return Atom(tok[1])
-        if tok[0] == "int":
-            self.advance()
-            num = tok[1]
-            if self.peek()[0] == "/":
-                self.advance()
-                dtok = self.expect("int", expected=("positive integer",))
-                if dtok[1] == 0:
-                    raise ParseError("zero denominator", dtok[2], expected=("positive integer",))
-                return Rational(num, dtok[1])
-            return Rational(num)
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok[2],
-            expected=("(", "atom", "integer", "-"),
-        )
+        if kind == "name":
+            return _build(Atom, pos, ATOM_NAMES, value)
+        if kind == "int":
+            if not self.accept("/"):
+                return Rational(value)
+            _, den, den_pos = self.expect("int", ("positive integer",))
+            return _build(Rational, den_pos, ("positive integer",), value, den)
+        raise _unexpected(value, pos, ("(", "atom", "integer", "-"))
 
 
 def parse(text):
@@ -306,7 +269,12 @@ def parse(text):
 # printer
 
 def _fraction_text(num, den):
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # the interpreter's int/str digit limit
+        raise DomainError(
+            f"a coefficient longer than {sys.get_int_max_str_digits()} digits cannot be printed"
+        ) from None
 
 
 def _print_factor(e):
@@ -320,7 +288,7 @@ def _print_factor(e):
         if isinstance(base, Atom):
             base_text = base.name
         elif isinstance(base, Rational) and base.den == 1 and base.num >= 0:
-            base_text = str(base.num)
+            base_text = _fraction_text(base.num, 1)
         else:
             base_text = "(" + _print_tree(base) + ")"
         return f"{base_text}^{e.exponent}"
@@ -331,8 +299,6 @@ def _print_factor(e):
 def _print_term(e):
     if isinstance(e, Product):
         return "*".join(_print_factor(f) for f in e.factors)
-    if isinstance(e, Sum):
-        return "(" + _print_tree(e) + ")"
     return _print_factor(e)
 
 

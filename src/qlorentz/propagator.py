@@ -224,15 +224,14 @@ def _arcs(z, bits, narcs, degree):
     hinv = (num << (bits + rung + 1)) // (den * pi)  # (2z/pi) 2^bits
     q = hinv * hinv
     isqrt = math.isqrt
+    mids = range(0, 2 * narcs << bits, 2 << bits)  # arc n is centred on v = 2n
+    terms = [sum([c // isqrt(q + (mid + x) ** 2) for x, c in zip(xs, cs)]) for mid in mids]
     if z >= 2.0:
-        terms = [sum([c // isqrt(q + x * x) for x, c in zip(xs, cs)]) // 2]
+        terms[0] //= 2
     else:
         from mpmath import mp
         with mp.workprec(bits):
-            terms = [int(mp.ldexp(_u_arc0(mp, mp.mpf(z), nodes), bits))]
-    for n in range(1, narcs):
-        mid = 2 * n << bits
-        terms.append(sum([c // isqrt(q + (mid + x) ** 2) for x, c in zip(xs, cs)]))
+            terms[0] = int(mp.ldexp(_u_arc0(mp, mp.mpf(z), nodes), bits))
     return terms
 
 

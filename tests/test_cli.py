@@ -172,6 +172,17 @@ class TestNormalize:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["x^²", "9" * 5000, "10^5000", "2^20000"],
+        ids=["superscript-digit", "5000-digit-literal", "10^5000", "2^20000"],
+    )
+    def test_unreadable_or_unprintable_input_exits_2(self, expr):
+        code, out, err = run_cli("normalize", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCommutator:
     @pytest.mark.parametrize(

@@ -101,6 +101,13 @@ class TestErrors:
         with pytest.raises(ParseError, match="offset 3"):
             parse("x*(")
 
+    def test_overlong_integer_literal(self):
+        # past the interpreter's int/str digit limit (4300 by default)
+        for text, position in (("9" * 5000, 0), ("x + 1/" + "7" * 5000, 6)):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.position == position
+
     def test_deep_nesting(self):
         # refused at the first parenthesis past the limit, not by the
         # interpreter's recursion limit
@@ -251,8 +258,11 @@ def test_printed_form_is_a_fixed_point(tree):
     assert print_expr(parse(text)) == text
 
 
-@given(text=st.text(alphabet="xtpHhbarcmi+-*^()/ 0123456789", max_size=24))
+@given(text=st.text(st.sampled_from("xtpHhbarcmi+-*^()/ 0123456789") | st.characters(), max_size=24))
 @settings(max_examples=500, deadline=None)
+# "²" is a digit to str.isdigit but not to int()
+@example(text="x^²")
+@example(text="1²")
 def test_parser_total(text):
     """Arbitrary input either parses or raises ParseError, nothing else."""
     try:
@@ -262,3 +272,10 @@ def test_parser_total(text):
         assert isinstance(exc.expected, frozenset)
     else:
         assert parse(print_expr(tree)) == tree
+
+
+@given(tree=_trees(min_num=-9), before=st.text(" \t\r\n"), after=st.text(" \t\r\n"))
+@settings(max_examples=200, deadline=None)
+def test_blanks_around_text_are_ignored(tree, before, after):
+    text = print_expr(tree)
+    assert parse(before + text + after) == parse(text)
