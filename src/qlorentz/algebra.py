@@ -26,9 +26,9 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
-from .errors import ExprError
+from .errors import DomainError, ExprError
 from .expr import Atom, Power, Product, Rational, Sum, print_terms
-from .rational import C2_SHELL, Coeff, Poly, Terms
+from .rational import C2_SHELL, Coeff, Poly, Terms, _merge
 
 
 class NormalForm(Terms):
@@ -80,14 +80,6 @@ class NormalForm(Terms):
                 out[key] = c
         return NormalForm(out)
 
-    def pow(self, n):
-        if n < 0:
-            raise ExprError("NormalForm.pow expects n >= 0")
-        out = NF_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     # ------------------------------------------------------------------
     # printing
 
@@ -133,6 +125,10 @@ def _atom_nf(name, exponent=1):
     return NormalForm({(0, 0, n % 2): coeff})
 
 
+# a power of n costs n - 1 products, so the exponent is bounded
+_MAX_EXPONENT = 10_000
+
+
 def normal_form(e):
     """Reduce a tree (or pass through a NormalForm) to canonical form."""
     if isinstance(e, NormalForm):
@@ -142,20 +138,24 @@ def normal_form(e):
     if isinstance(e, Rational):
         return NormalForm.scalar(Coeff(Poly.monomial(Fraction(e.num, e.den))))
     if isinstance(e, Sum):
-        out = NormalForm.zero()
+        out = {}
         for term in e.terms:
-            out = out + normal_form(term)
-        return out
+            _merge(out, normal_form(term).terms)
+        return NormalForm(out)
     if isinstance(e, Product):
-        out = NF_ONE
-        for factor in e.factors:
-            out = out * normal_form(factor)
-        return out
-    if isinstance(e, Power):
-        if e.exponent >= 0:
-            return normal_form(e.base).pow(e.exponent)
-        return _atom_nf(e.base.name, e.exponent)
-    raise ExprError(f"cannot normalize {type(e).__name__}")
+        factors = map(normal_form, e.factors)
+    elif isinstance(e, Power):
+        if e.exponent < 0:
+            return _atom_nf(e.base.name, e.exponent)
+        if e.exponent > _MAX_EXPONENT:
+            raise DomainError(f"exponents above {_MAX_EXPONENT} are not supported")
+        factors = [normal_form(e.base)] * e.exponent
+        if not factors:  # b^0
+            return NF_ONE
+    else:
+        raise ExprError(f"cannot normalize {type(e).__name__}")
+    # one left fold from the first factor, so nothing is multiplied by one
+    return functools.reduce(NormalForm.__mul__, factors)
 
 
 def commutator(a, b):

@@ -273,7 +273,7 @@ def _fraction_text(num, den):
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # the interpreter's int/str digit limit
         raise DomainError(
-            f"a coefficient longer than {sys.get_int_max_str_digits()} digits cannot be printed"
+            f"an integer longer than {sys.get_int_max_str_digits()} digits cannot be printed"
         ) from None
 
 
@@ -291,7 +291,7 @@ def _print_factor(e):
             base_text = _fraction_text(base.num, 1)
         else:
             base_text = "(" + _print_tree(base) + ")"
-        return f"{base_text}^{e.exponent}"
+        return f"{base_text}^{_fraction_text(e.exponent, 1)}"
     # grouped subexpression
     return "(" + _print_tree(e) + ")"
 

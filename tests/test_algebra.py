@@ -13,6 +13,7 @@ from qlorentz.algebra import (
     normal_form,
     symmetrize,
 )
+from qlorentz.errors import DomainError
 from qlorentz.expr import Atom, Power, Product, Rational, Sum, parse, print_expr
 from conftest import make_poly_tree, make_tree
 
@@ -146,6 +147,36 @@ def test_power_matches_repeated_mul():
         a = make_tree(rng, depth=1)
         na = normal_form(a)
         assert normal_form(Power(a, 3)) == na * na * na
+
+
+def test_products_fold_from_their_first_factor(monkeypatch):
+    """A product of k factors takes k - 1 multiplications and a power b^n
+    takes n - 1 (b^0 none), so nothing is multiplied by one; a sum merges
+    its terms' maps without adding normal forms."""
+    muls, adds = [], []
+    mul, add = NormalForm.__mul__, NormalForm.__add__
+    monkeypatch.setattr(NormalForm, "__mul__", lambda a, b: muls.append(1) or mul(a, b))
+    monkeypatch.setattr(NormalForm, "__add__", lambda a, b: adds.append(1) or add(a, b))
+    base = parse("x + p")
+    for k in (2, 3, 5):
+        muls.clear()
+        assert normal_form(Product([base] * k)) == normal_form(Power(base, k))
+        assert len(muls) == 2 * (k - 1)
+    for n in (0, 1, 2, 6):
+        muls.clear()
+        normal_form(Power(base, n))
+        assert len(muls) == max(n - 1, 0)
+    assert normal_form(parse("x + p + H - x + 3")) == nf("p + H + 3")
+    assert adds == []
+
+
+def test_exponent_bound():
+    assert nf("p^10000").to_text() == "p^10000"
+    for text in ("p^10001", "(x + p)^20000", "(p^10001)^0"):
+        with pytest.raises(DomainError, match="above 10000"):
+            nf(text)
+    # negative exponents stand only on atoms and cost one term
+    assert nf("p^-100000*H^-100001").to_text() == "p^-100000*H^-100001"
 
 
 def _hand_derivative(coeffs, n):

@@ -36,13 +36,13 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=120):
     """A fresh interpreter that imports the same qlorentz as this process, installed or not."""
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         env=_child_env(),
     )
 
@@ -174,14 +174,23 @@ class TestNormalize:
 
     @pytest.mark.parametrize(
         "expr",
-        ["x^²", "9" * 5000, "10^5000", "2^20000"],
-        ids=["superscript-digit", "5000-digit-literal", "10^5000", "2^20000"],
+        ["x^²", "9" * 5000, "10^5000", "2^20000", "p^-{0}*p^-{0}".format("9" * 4300)],
+        ids=["superscript-digit", "5000-digit-literal", "10^5000", "2^20000", "4301-digit-exponent"],
     )
     def test_unreadable_or_unprintable_input_exits_2(self, expr):
         code, out, err = run_cli("normalize", expr)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_exponent_is_refused_at_once(self):
+        # a power of n takes n - 1 products; past the bound it takes none,
+        # and the message does not echo the 3000-digit exponent
+        result = run_python("-m", "qlorentz.cli", "normalize", "p^" + "9" * 3000, timeout=20)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "10000" in result.stderr and len(result.stderr) < 200
 
 
 class TestCommutator:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlorentz.errors import ExprError, ParseError
+from qlorentz.errors import DomainError, ExprError, ParseError
 from qlorentz.expr import (
     ATOM_NAMES,
     Atom,
@@ -107,6 +107,13 @@ class TestErrors:
             with pytest.raises(ParseError) as exc:
                 parse(text)
             assert exc.value.position == position
+
+    def test_unprintable_integers(self):
+        # a coefficient or an exponent past the interpreter's int/str digit
+        # limit is refused by the printer, not by a ValueError
+        for tree in (Rational(10**5000), Power(Atom("p"), -(10**5000)), Power(Atom("x"), 10**5000)):
+            with pytest.raises(DomainError, match="digits cannot be printed"):
+                print_expr(tree)
 
     def test_deep_nesting(self):
         # refused at the first parenthesis past the limit, not by the
