@@ -44,18 +44,8 @@ class NormalForm(Terms):
         # move (f, H^e1) across x^a2, with D f = f' + e1 * (p / shell) f:
         # (f, H^e1) x^a2 = sum_k C(a2, k) (-i hbar)^k x^(a2-k) (D^k f, H^e1)
         # and H^e1 H^e2 = c^2 shell when both flags are set
-        left_h = any(e1 for _, _, e1 in self.terms)
-        right = []
-        for (a2, b2, e2), c2 in other.terms.items():
-            # C(a2, k) (-i hbar)^k c2 for k = 0..a2, built once per term
-            factors = [c2] + [
-                c2.times_poly(Poly.monomial(comb(a2, k), eh=k, ei=3 * k))
-                for k in range(1, a2 + 1)
-            ]
-            shell = [f.times_poly(C2_SHELL) for f in factors] if e2 and left_h else None
-            right.append((a2, b2, e2, factors, shell))
         top = max((a2 for a2, _, _ in other.terms), default=0)
-        parts = defaultdict(list)
+        left = []
         for (a1, b1, e1), c1 in self.terms.items():
             # D^k c1 up to the highest x power on the right; D of a
             # p-free coefficient is 0, and so is every later link
@@ -65,6 +55,21 @@ class NormalForm(Terms):
                 if not d:
                     break
                 chain.append(d)
+            left.append((a1, b1, e1, chain))
+        # a factor past the longest chain would meet no D^k c1
+        longest = max((len(chain) for *_, chain in left), default=0)
+        left_h = any(e1 for _, _, e1, _ in left)
+        right = []
+        for (a2, b2, e2), c2 in other.terms.items():
+            # C(a2, k) (-i hbar)^k c2 for k <= a2 and k < longest, built once per term
+            factors = [c2] + [
+                c2.times_poly(Poly.monomial(comb(a2, k), eh=k, ei=3 * k))
+                for k in range(1, min(a2 + 1, longest))
+            ]
+            shell = [f.times_poly(C2_SHELL) for f in factors] if e2 and left_h else None
+            right.append((a2, b2, e2, factors, shell))
+        parts = defaultdict(list)
+        for a1, b1, e1, chain in left:
             for a2, b2, e2, factors, shell in right:
                 if e1 and e2:
                     factors, eps = shell, 0

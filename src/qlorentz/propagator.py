@@ -25,6 +25,7 @@ import statistics
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
+from fractions import Fraction
 
 from . import _kernels
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+_LN10 = math.log(10.0)
 
 # K0(z) ~ sqrt(pi/2z) e^-z drops below the smallest normal double near
 # z = 745; refuse a little earlier, while the value is still exact.
@@ -137,14 +139,18 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 #
 # Gamma = (1/2pi) int_0^inf cos(z sinh u) du.  The integrand oscillates
 # and does not decay, so the integral only exists as an Abel-summed
-# alternating series of half-period arcs.  Each arc gets a fixed
-# Gauss-Legendre rule, and the arc magnitudes go to the
-# Cohen-Villegas-Zagier accelerator, which converges geometrically for
-# such series.  Working precision scales with z because the answer
-# shrinks like e^-z while the arcs stay O(1/z).  Only this route imports
-# mpmath, and it uses it for little more than the rule's nodes: the arcs
-# and the accelerator run on fixed-point Python ints with F = 16 + 3.33 dps
-# fraction bits (``bits``), ~dps decimal digits.
+# alternating series of half-period arcs.  Each arc gets one fixed pair of
+# nested rules, and the arc magnitudes go to the Cohen-Villegas-Zagier
+# accelerator, which converges geometrically for such series.  Only this
+# route imports mpmath, and it uses it for little more than the rules'
+# nodes: the arcs and the accelerator run on fixed-point Python ints with
+# F = 16 + 3.33 dps fraction bits (``bits``), ~dps decimal digits.
+#
+# Working precision follows the cancellation.  The answer shrinks like e^-z
+# while the arcs stay O(1/z), so their alternating sum cancels
+# log10(e) z = z / ln 10 digits.  dps keeps 25 beyond those: a double's 17,
+# and 8 to spare for the ~6 that rounding up to 25 quotients in each of up
+# to 456 arcs can cost.
 #
 # In w = sinh u the integral is int_0^inf cos(z w) / sqrt(1 + w^2) dw, and
 # arc n is [(n - 1/2) pi/z, (n + 1/2) pi/z].  With h = pi/2z and the nodes
@@ -152,10 +158,11 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 #
 #     |arc n| = sum_k c_k / sqrt(h^-2 + v_k^2),   c_k = w_k cos(pi x_k/2),
 #
-# one isqrt and one division per node on ints.  The scaling by h keeps
-# each node's F bits for any z.  In the form h c_k / sqrt(1 + w^2) the
-# quotient is ~ z c_k / v_k: in fixed point it loses a bit for each halving
-# of z, and below z ~ 2^-F every arc n >= 1 is 0.  Arc 0 differs by branch:
+# one isqrt per node and one division per node and rule on ints.  The
+# scaling by h keeps each node's F bits for any z.  In the form
+# h c_k / sqrt(1 + w^2) the quotient is ~ z c_k / v_k: in fixed point it
+# loses a bit for each halving of z, and below z ~ 2^-F every arc n >= 1 is
+# 0.  Arc 0 differs by branch:
 #
 # * z >= 2: half of the symmetric arc [-pi/2z, pi/2z] (v_k = x_k), not the
 #   half-length arc [0, pi/2z].  Then every arc applies the same rule to
@@ -163,76 +170,177 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 #   half-weighted alternating sum (Poisson summation) down to an error
 #   relative to K0(z).  A half-length arc 0 has another shape, and its rule
 #   error stays behind as a boundary term that does not shrink with e^-z;
-#   at degree 4 it swamps the result past z ~ 120.
+#   at 24 Gauss nodes it swamps the result past z ~ 120.
 # * z < 2: arc 0 in u, [0, asinh(pi/2z)], is ~ln(1/z) long and flat but for
 #   the last O(1) before its zero; one rule on all of it is off by 1.7e-5
 #   at z = 1e-50.  It is integrated in mpf in pieces of 4, 8, 16, ...
 #   going back from the zero, the last ending at 0, and then rounded to F
-#   bits.  These are the route's only per-node cos and sinh.
+#   bits.  These are the route's only per-node cos and sinh, and both rules
+#   sum the same cos values.  Its w form is never evaluated: the centre node
+#   x = 0 sits at v = 0, where h^-2 + v^2 rounds to 0 at tiny z.
+#
+# The pair is a Gauss-Kronrod rule (Laurie, Math. Comp. 66 (1997)
+# 1133-1145).  The value comes from its 2n + 1 = 25 nodes, exact for
+# polynomials of degree 3n + 1 = 37; the check comes from the n = 12
+# Gauss-Legendre nodes among them, exact to degree 2n - 1 = 23.  So the
+# check costs 12 divisions per arc and no isqrt.  The n + 1 other nodes
+# are the zeros of the Stieltjes polynomial E_(n+1), which is orthogonal
+# to every polynomial of degree <= n under the weight P_n; they interlace
+# with the Gauss nodes, and their weights have closed forms (``_gk_table``).
 #
 # The accelerator is exact: its d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n)/2 is
 # the integer sequence 1, 3, 17, 99, ... and its Chebyshev coefficients b
 # are integers, so the sum is one ratio of ints, rounded once to a double.
 #
-# Node tables are built once per process, lazily, per degree and per
+# Node tables are built once per process, lazily, per Gauss degree and per
 # power-of-two rung of precision at or above F; a call takes its F bits from
 # the rung by a shift, so its value depends on z alone.
 #
 # Two self-checks guard the result on both branches.  The truncation check
 # sums again with the last _CHECK_DROP arcs withheld.  The rule check sums
-# every arc again at _GL_DEGREE - 1, so a rule too coarse for the arcs
+# every arc by the embedded Gauss rule, so a pair too coarse for the arcs
 # shows as a drift between the two sums.
 
-_GL_DEGREE = 4  # mpmath's Gauss-Legendre degree d: 3 * 2^(d - 1) nodes per arc
+_GAUSS_DEGREE = 3  # mpmath's Gauss-Legendre degree d: n = 3 * 2^(d - 1), even
 
 _CHECK_DROP = 8  # arcs withheld for the truncation check
 _CHECK_TOL = 1e-8
 
 
+def _stieltjes(n):
+    # E_(n+1) = x F(x^2), monic, for even n: F's coefficients, highest power
+    # first, and C = ||P_n||^2 / (lead of P_n), all exact.  E is orthogonal
+    # to x^k, k = 1, 3, ... < n, under P_n; the moments int x^m P_n dx
+    # vanish for m < n, so each k brings in one new coefficient.
+    f = math.factorial
+
+    def moment(m):  # int_-1^1 x^m P_n(x) dx for m >= n, m - n even
+        return Fraction(2 ** (n + 1) * f(m) * f((m + n) // 2), f((m - n) // 2) * f(m + n + 1))
+
+    coeffs = [Fraction(1)]
+    for i in range(1, n // 2 + 1):
+        coeffs.append(-sum(c * moment(n + 2 * (i - j)) for j, c in enumerate(coeffs)) / moment(n))
+    return coeffs, Fraction(2 ** (n + 1) * f(n) ** 2, (2 * n + 1) * f(2 * n))
+
+
+def _horner(coeffs, y):
+    # (F(y), F'(y)) for coefficients highest power first
+    f = d = 0 * y
+    for a in coeffs:
+        f, d = f * y + a, d * y + f
+    return f, d
+
+
 @functools.cache
-def _gl_table(degree, rung):
-    # ((x_k, w_k) in mpf, x_k 2^rung, c_k 2^rung, pi 2^rung) on [-1, 1]
+def _gk_table(degree, rung):
+    # ((xs, Kronrod ws, Gauss ws) in mpf, xs 2^rung, Kronrod cs 2^rung,
+    # Gauss cs 2^rung, pi 2^rung) on [-1, 1], the Gauss nodes first.
+    # A weight is the integral of a node's Lagrange basis polynomial for
+    # the node polynomial P_n E_(n+1).  P_n is orthogonal to every degree
+    # below n, so only lead terms survive; with E monic,
+    #   C / (P_n(x) E'(x))             at a zero x of E, and
+    #   w_gauss + C / (P_n'(x) E(x))   at a zero x of P_n.
     from mpmath import mp
     from mpmath.calculus.quadrature import GaussLegendre
-    nodes = GaussLegendre(mp).get_nodes(-1, 1, degree, rung)
+    gauss = GaussLegendre(mp).get_nodes(-1, 1, degree, rung)
+    n = len(gauss)
+    exact, cc = _stieltjes(n)
+    floats = [float(a) for a in exact]
     with mp.workprec(rung + 20):
-        xs = [int(mp.ldexp(x, rung)) for x, _ in nodes]
-        cs = [int(mp.ldexp(w * mp.cos(mp.pi * x / 2), rung)) for x, w in nodes]
-        return nodes, xs, cs, int(mp.ldexp(mp.pi, rung))
+        coeffs = [mp.mpf(a.numerator) / a.denominator for a in exact]
+        cc = mp.mpf(cc.numerator) / cc.denominator
+
+        def legendre(x):  # (P_n(x), P_n'(x))
+            p, q = mp.one, mp.zero
+            for j in range(1, n + 1):
+                p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+            return p, n * (x * p - q) / (x * x - 1)
+
+        def zero(lo, hi):
+            # F's zero between two squared Gauss nodes: bisection in doubles
+            # to ~40 correct bits, then Newton, which about doubles them per
+            # step; counting from 30 leaves a step to spare
+            up = _horner(floats, lo)[0] > 0
+            for _ in range(50):
+                mid = (lo + hi) / 2
+                if (_horner(floats, mid)[0] > 0) == up:
+                    lo = mid
+                else:
+                    hi = mid
+            y, good = mp.mpf(lo), 30
+            while good < rung + 20:
+                f, d = _horner(coeffs, y)
+                y -= f / d
+                good *= 2
+            return y
+
+        xs = [x for x, _ in gauss]
+        gs = [w for _, w in gauss]
+        ks = [w + cc / (legendre(x)[1] * x * _horner(coeffs, x * x)[0]) for x, w in gauss]
+        squares = sorted(float(x) ** 2 for x in xs if x > 0)
+        for y in [mp.zero] + [zero(lo, hi) for lo, hi in zip(squares, squares[1:] + [1.0])]:
+            f, d = _horner(coeffs, y)
+            r = mp.sqrt(y)
+            w = cc / (legendre(r)[0] * (f + 2 * y * d))  # E'(r) = F + 2 r^2 F'
+            for x in (r, -r) if y else (r,):
+                xs.append(x)
+                ks.append(w)
+        cos = [mp.cos(mp.pi * x / 2) for x in xs]
+        return (
+            (xs, ks, gs),
+            [int(mp.ldexp(x, rung)) for x in xs],
+            [int(mp.ldexp(w * c, rung)) for w, c in zip(ks, cos)],
+            [int(mp.ldexp(w * c, rung)) for w, c in zip(gs, cos)],
+            int(mp.ldexp(mp.pi, rung)),
+        )
 
 
 def _u_arc0(mp, zz, nodes):
-    # arc 0 of cos(z sinh u), [0, asinh(pi/2z)], in pieces (z < 2)
-    s = mp.zero
+    # arc 0 of cos(z sinh u), [0, asinh(pi/2z)], in pieces (z < 2):
+    # (value, check), both rules on the same cos values
+    xs, ks, gs = nodes
+    value = check = mp.zero
     hi, width = mp.asinh(mp.pi / (2 * zz)), 4
     while hi > 0:
         lo = hi - width if hi > width else mp.zero
         mid, half = (hi + lo) / 2, (hi - lo) / 2
-        s += half * mp.fsum(w * mp.cos(zz * mp.sinh(mid + half * x)) for x, w in nodes)
+        fs = [mp.cos(zz * mp.sinh(mid + half * x)) for x in xs]
+        value += half * mp.fdot(ks, fs)
+        check += half * mp.fdot(gs, fs)
         hi, width = lo, 2 * width
-    return s
+    return value, check
 
 
-def _arcs(z, bits, narcs, degree):
-    # |arc n| * 2^bits as ints, n < narcs, arc 0 by branch
+def _arcs(z, bits, narcs):
+    # (value, check): |arc n| * 2^bits as ints, n < narcs, by the Kronrod
+    # rule and by the Gauss rule inside it, arc 0 by branch
     rung = 1 << (bits - 1).bit_length()
-    nodes, xs, cs, pi = _gl_table(degree, rung)
+    nodes, xs, ks, gs, pi = _gk_table(_GAUSS_DEGREE, rung)
     shift = rung - bits
     xs = [x >> shift for x in xs]
-    cs = [c >> shift << bits for c in cs]
+    ks = [c >> shift << bits for c in ks]
+    gs = [c >> shift << bits for c in gs]
     num, den = z.as_integer_ratio()
     hinv = (num << (bits + rung + 1)) // (den * pi)  # (2z/pi) 2^bits
     q = hinv * hinv
     isqrt = math.isqrt
-    mids = range(0, 2 * narcs << bits, 2 << bits)  # arc n is centred on v = 2n
-    terms = [sum([c // isqrt(q + (mid + x) ** 2) for x, c in zip(xs, cs)]) for mid in mids]
+    value, check = [], []
+    # arc n is centred on v = 2n; arc 0 by the w form only from z = 2 on
+    start = 0 if z >= 2.0 else 2 << bits
+    for mid in range(start, narcs << (bits + 1), 2 << bits):
+        roots = [isqrt(q + (mid + x) ** 2) for x in xs]
+        value.append(sum([c // r for c, r in zip(ks, roots)]))
+        check.append(sum([c // r for c, r in zip(gs, roots)]))
     if z >= 2.0:
-        terms[0] //= 2
+        value[0] //= 2
+        check[0] //= 2
     else:
         from mpmath import mp
         with mp.workprec(bits):
-            terms[0] = int(mp.ldexp(_u_arc0(mp, mp.mpf(z), nodes), bits))
-    return terms
+            arc0 = _u_arc0(mp, mp.mpf(z), nodes)
+            value.insert(0, int(mp.ldexp(arc0[0], bits)))
+            check.insert(0, int(mp.ldexp(arc0[1], bits)))
+    return value, check
 
 
 def _cvz(terms):
@@ -258,26 +366,24 @@ def k0_oscillatory(z: float) -> float:
     Shares nothing with the kernel: different representation, different
     arithmetic.  Raises NonConvergence when a self-check disagrees by
     more than ``_CHECK_TOL`` relative: ``drift`` (last arcs withheld) or
-    ``rule_drift`` (every arc at the next lower degree).
+    ``rule_drift`` (every arc by the Gauss rule inside the Kronrod rule).
     """
     z = _checked_z(z, "k0_oscillatory")
-    dps = 25 + int(0.55 * z)
+    dps = 25 + math.ceil(z / _LN10)
     narcs = 36 + int(0.6 * z)
     bits = 16 + int(3.33 * dps)
-    terms = _arcs(z, bits, narcs, _GL_DEGREE)
-    s, d = _cvz(terms)
-    checks = {
-        "rule_drift": _cvz(_arcs(z, bits, narcs, _GL_DEGREE - 1)),
-        "drift": _cvz(terms[:-_CHECK_DROP]),
-    }
+    value, check = _arcs(z, bits, narcs)
+    s, d = _cvz(value)
+    checks = {"rule_drift": _cvz(check), "drift": _cvz(value[:-_CHECK_DROP])}
     # |s/d - sc/dc| / |s/d|, one correctly rounded ratio of ints each
     drifts = {k: abs(s * dc - sc * d) / abs(s * dc) for k, (sc, dc) in checks.items()}
     if max(drifts.values()) > _CHECK_TOL:
+        n = 3 << (_GAUSS_DEGREE - 1)
         raise NonConvergence(
             f"oscillatory sum for z={z:g} failed its self-check",
             z=z,
             arcs=narcs,
-            degree=_GL_DEGREE,
+            rule=f"G{n}K{2 * n + 1}",
             dps=dps,
             **drifts,
         )
@@ -315,10 +421,25 @@ class ThresholdCriterion(enum.Enum):
         return 1.0 if self is ThresholdCriterion.AMPLITUDE_EQ2 else 0.25
 
 
-def _classify(s: float, z: float, criterion: ThresholdCriterion) -> Classification:
+# s = (xi - tau)(xi + tau) takes three roundings of at most 2^-53 each, so
+# it is within ~3 * 2^-53 |s| of the exact xi^2 - tau^2 of the two doubles.
+# More than 2^-51 b from a boundary b, the exact value is on the same side
+# as s and the double decides the class; inside that band the exact value
+# does (a filtered predicate, Shewchuk 1997)
+_S_FILTER = 2.0**-51
+
+
+def _classify(
+    tau: float, xi: float, s: float, z: float, criterion: ThresholdCriterion
+) -> Classification:
     if z == 0.0:
         return Classification.TIMELIKE_OR_LIGHTLIKE
-    if s <= criterion.boundary:
+    b = criterion.boundary
+    if abs(s - b) > _S_FILTER * b:
+        near = s <= b
+    else:
+        near = Fraction(xi) ** 2 - Fraction(tau) ** 2 <= b
+    if near:
         return Classification.SPACELIKE_NONNEGLIGIBLE
     return Classification.SPACELIKE_NEGLIGIBLE
 
@@ -327,7 +448,7 @@ def classify_interval(
     tau: float, xi: float, criterion: ThresholdCriterion
 ) -> Classification:
     """The class of (tau, xi); DomainError where the interval is undefined."""
-    return _classify(*_interval(tau, xi), criterion)
+    return _classify(tau, xi, *_interval(tau, xi), criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +473,8 @@ def point_at(tau: float, xi: float) -> PropagatorPoint:
         interval=-s,
         gamma=gamma,
         prob=abs(gamma) ** 2,
-        class_eq2=_classify(s, z, ThresholdCriterion.AMPLITUDE_EQ2),
-        class_eq13=_classify(s, z, ThresholdCriterion.PROBABILITY_EQ13),
+        class_eq2=_classify(tau, xi, s, z, ThresholdCriterion.AMPLITUDE_EQ2),
+        class_eq13=_classify(tau, xi, s, z, ThresholdCriterion.PROBABILITY_EQ13),
     )
 
 
@@ -391,8 +512,10 @@ def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
 
 def _rows(grid: list[float]) -> Iterator[tuple]:
     # point_at's arithmetic on a grid already checked: one _interval per
-    # row, and no timelike class, since z == xi > 0.  _kernels.k0 is looked
-    # up per row, so a wrapper put on it later still sees every call.
+    # row, and no timelike class, since z == xi > 0.  On tau = 0 the rounded
+    # s = fl(xi^2) is on the same side of 1 and of 1/4 as the exact xi^2,
+    # so the plain comparisons give _classify's class.  _kernels.k0 is
+    # looked up per row, so a wrapper put on it later still sees every call.
     near = Classification.SPACELIKE_NONNEGLIGIBLE
     far = Classification.SPACELIKE_NEGLIGIBLE
     eq2 = ThresholdCriterion.AMPLITUDE_EQ2.boundary

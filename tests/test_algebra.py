@@ -15,6 +15,7 @@ from qlorentz.algebra import (
 )
 from qlorentz.errors import DomainError
 from qlorentz.expr import Atom, Power, Product, Rational, Sum, parse, print_expr
+from qlorentz.rational import Coeff
 from conftest import make_poly_tree, make_tree
 
 
@@ -259,3 +260,21 @@ def test_key_ordering_in_text():
     # descending lexicographic (x power, t power, H flag)
     text = nf("x^2 + x*t + t + H + 1").to_text()
     assert text == "x^2 + x*t + t + H + 1"
+
+
+def test_products_build_only_the_factors_a_chain_reaches(monkeypatch):
+    """C(a2, k) (-i hbar)^k c2 is built only for k below the longest left
+    chain D^k c1: none for a p-free left side, two for p^2 (D p^2 = 2p,
+    D 2p = 2), however high the power of x on the right."""
+    calls = []
+    times_poly = Coeff.times_poly
+    monkeypatch.setattr(Coeff, "times_poly", lambda c, poly: calls.append(1) or times_poly(c, poly))
+    for left, right, text, built in (
+        ("x^50", "x^50", "x^100", 0),
+        ("3*t", "x^7", "3*x^7*t", 0),
+        ("p^2", "x^3", "x^3*p^2 - 6*i*hbar*x^2*p - 6*hbar^2*x", 2),
+    ):
+        a, b = nf(left), nf(right)
+        calls.clear()
+        assert (a * b).to_text() == text
+        assert len(calls) == built, (left, right)

@@ -340,12 +340,12 @@ class TestPropagator:
         assert "self-check" in err
 
     def test_rule_check_refusal_names_its_drift(self, monkeypatch):
-        monkeypatch.setattr("qlorentz.propagator._GL_DEGREE", 2)
+        monkeypatch.setattr("qlorentz.propagator._GAUSS_DEGREE", 2)
         code, out, err = run_cli(
             "propagator", "--t", "0", "--x", "200", "--method", "quadrature"
         )
         assert (code, out) == (3, "")
-        assert "degree=2" in err and "rule_drift=" in err
+        assert "rule=G6K13" in err and "rule_drift=" in err
 
 
 _ERRORS = [

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -122,18 +123,19 @@ class TestOscillatoryRoute:
         zs += [math.nextafter(2.0, 0.0), 2.0, 700.0]
         # the small-z end, where arc 0 is ~ln(1/z) long and flat but for its tail
         zs += [1e-8, 1e-12, 1e-50, 1e-300, 5e-324]
-        with mp.workdps(30):
+        zs += [min(float(z), 700.0) for z in np.logspace(math.log10(2.0), math.log10(700.0), 15)]
+        with mp.workdps(40):
             for z in zs:
-                assert rel(k0_oscillatory(z), float(mp.besselk(0, z))) <= 1e-10, z
+                assert k0_oscillatory(z) == float(mp.besselk(0, z)), z
 
     def test_rule_check_sees_a_coarse_rule(self, monkeypatch):
-        # at degree 2 the arcs are off by ~6e-7, which the truncation check
-        # cannot see; the rule check against degree 1 must refuse
-        monkeypatch.setattr("qlorentz.propagator._GL_DEGREE", 2)
+        # G6K13 leaves the arcs off by ~6e-7, which the truncation check
+        # cannot see; the rule check against its six Gauss nodes must refuse
+        monkeypatch.setattr("qlorentz.propagator._GAUSS_DEGREE", 2)
         with pytest.raises(NonConvergence) as exc:
             k0_oscillatory(200.0)
         diag = exc.value.diagnostics
-        assert diag["degree"] == 2 and diag["dps"] == 135
+        assert diag["rule"] == "G6K13" and diag["dps"] == 112
         assert diag["drift"] <= 1e-8 < diag["rule_drift"]
 
     @pytest.mark.parametrize("z", [1e-50, 1e-8])
@@ -141,14 +143,39 @@ class TestOscillatoryRoute:
         # arc 0 of the z < 2 branch as one arc, the shape that was off by
         # 1.7e-5 at z = 1e-50: the truncation check cannot see it
         def one_arc(mp, zz, nodes):
+            xs, ks, gs = nodes
             half = mp.asinh(mp.pi / (2 * zz)) / 2
-            return half * mp.fsum(w * mp.cos(zz * mp.sinh(half + half * x)) for x, w in nodes)
+            fs = [mp.cos(zz * mp.sinh(half + half * x)) for x in xs]
+            return half * mp.fdot(ks, fs), half * mp.fdot(gs, fs)
 
         monkeypatch.setattr("qlorentz.propagator._u_arc0", one_arc)
         with pytest.raises(NonConvergence) as exc:
             k0_oscillatory(z)
         diag = exc.value.diagnostics
         assert diag["drift"] <= 1e-8 < diag["rule_drift"]
+
+    @pytest.mark.parametrize("rung", [128, 2048])
+    def test_nested_table(self, rung):
+        # G12K25: the Kronrod rule is exact to x^37, the Gauss rule inside
+        # it to x^23, every weight is positive, and the Gauss nodes and
+        # weights are mpmath's degree-3 rule bit for bit
+        from mpmath.calculus.quadrature import GaussLegendre
+
+        (xs, ks, gs), ixs, iks, igs, _ = propagator._gk_table(3, rung)
+        assert (len(xs), len(ks), len(gs), len(ixs), len(iks), len(igs)) == (25, 25, 12, 25, 25, 12)
+        assert list(zip(xs, gs)) == GaussLegendre(mp.mp).get_nodes(-1, 1, 3, rung)
+        assert len(set(xs)) == 25 and 0 in xs
+        assert all(w > 0 for w in ks + gs)
+        with mp.workprec(rung + 40):
+            for ws, top in ((ks, 37), (gs, 23)):
+                for k in range(top + 1):
+                    exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                    got = mp.fsum(w * x**k for x, w in zip(xs, ws))
+                    assert abs(got - exact) <= mp.ldexp(1, -rung), (top, k)
+            # and no further: the degrees are sharp
+            for ws, k in ((ks, 38), (gs, 24)):
+                got = mp.fsum(w * x**k for x, w in zip(xs, ws))
+                assert abs(got - mp.mpf(2) / (k + 1)) > 1e-20
 
     @pytest.mark.parametrize("step,value", [(1, lambda: mp.log(2)), (2, lambda: mp.pi / 4)])
     def test_cvz_sums_alternating_series(self, step, value):
@@ -174,7 +201,7 @@ class TestOscillatoryRoute:
         expected = fresh.stdout.strip()
         k0_oscillatory(700.0)  # tables at the highest rung
         assert repr([k0_oscillatory(z) for z in zs]) == expected
-        propagator._gl_table.cache_clear()
+        propagator._gk_table.cache_clear()
         assert repr([k0_oscillatory(z) for z in zs]) == expected
 
     def test_domain(self):
@@ -233,6 +260,8 @@ class TestClassification:
             (0.0, 2.0, "amplitude_eq2", Classification.SPACELIKE_NEGLIGIBLE),
             (1.0, 0.0, "amplitude_eq2", Classification.TIMELIKE_OR_LIGHTLIKE),
             (1.0, 1.0, "amplitude_eq2", Classification.TIMELIKE_OR_LIGHTLIKE),
+            # the rounded s is 1, the exact s - 1 of the two doubles +2.1e-16
+            (1.6576530344918071e-06, 1.000000000001374, "amplitude_eq2", Classification.SPACELIKE_NEGLIGIBLE),
         ],
     )
     def test_boundary_table(self, tau, xi, criterion, expected):
@@ -265,6 +294,39 @@ class TestClassification:
                     tau = rng.uniform(0.0, 2.0)
                     xi = math.sqrt(s + tau * tau)
                     assert classify_interval(tau, xi, crit) is ref
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tau=st.floats(min_value=0.0, max_value=50.0, exclude_min=True)
+        | st.floats(min_value=0.0, max_value=50e-6, exclude_min=True),
+        criterion=st.sampled_from(list(ThresholdCriterion)),
+        ulps=st.integers(-4, 4),
+    )
+    def test_exact_near_both_boundaries_off_axis(self, tau, criterion, ulps):
+        # the double s rounds three times, and within a few ulps of a
+        # boundary that can put it on the wrong side of the exact value
+        xi = ulps_from(math.sqrt(criterion.boundary + tau * tau), ulps)
+        expected = exact_class(exact_interval(tau, xi), criterion)
+        assert classify_interval(tau, xi, criterion) is expected
+        check_point_record(tau, xi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(root=st.sampled_from([1.0, 0.5]), ulps=st.integers(-3000, 3000))
+    def test_scan_rows_exact_on_the_axis(self, root, ulps):
+        # on tau = 0, s = fl(xi^2) is monotone in xi and _rows compares it
+        # inline; its classes must be _classify's and the exact ones
+        xi = ulps_from(root, ulps)
+        (*_, class_eq2, class_eq13), = propagator._rows([xi])
+        for criterion, got in zip(ThresholdCriterion, (class_eq2, class_eq13)):
+            expected = exact_class(exact_interval(0.0, xi), criterion)
+            assert got is expected
+            assert classify_interval(0.0, xi, criterion) is expected
+
+
+def ulps_from(x, k):
+    """The double k ulps from the positive double x."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
 
 
 def exact_interval(tau, xi):
@@ -311,9 +373,7 @@ def check_against_exact(tau, xi):
             assert abs(Fraction(z) ** 2 - s) <= Fraction(1e-15) * s
         check_point_record(tau, xi)
     for crit in ThresholdCriterion:
-        boundary = Fraction(crit.boundary)
-        got = classify_interval(tau, xi, crit)
-        assert got is exact_class(s, crit) or abs(s - boundary) <= Fraction(1e-15) * boundary
+        assert classify_interval(tau, xi, crit) is exact_class(s, crit)
 
 
 _magnitudes = st.floats(min_value=1e-300, max_value=1e300)
