@@ -30,10 +30,8 @@ def _real(v: float) -> str:
 
 
 def _cplx(v: complex) -> str:
-    re, im = v.real + 0.0, v.imag + 0.0
-    if im < 0:
-        return f"{_real(re)} - {_real(-im)}*i"
-    return f"{_real(re)} + {_real(im)}*i"
+    # both amplitude routes return complex(x, 0.0)
+    return f"{_real(v.real)} + {_real(v.imag)}*i"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import statistics
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import _kernels
@@ -187,6 +187,9 @@ def gamma_bessel(tau: float, xi: float) -> complex:
 # are the zeros of the Stieltjes polynomial E_(n+1), which is orthogonal
 # to every polynomial of degree <= n under the weight P_n; they interlace
 # with the Gauss nodes, and their weights have closed forms (``_gk_table``).
+# E_(n+1) = x F(x^2), so they are 0 and +-sqrt(y) for the n/2 zeros y of F.
+# Each y is bracketed by two consecutive squared Gauss nodes, the last by
+# x_max^2 and 1, and mpmath's findroot finds it there and verifies it.
 #
 # The accelerator is exact: its d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n)/2 is
 # the integer sequence 1, 3, 17, 99, ... and its Chebyshev coefficients b
@@ -223,14 +226,6 @@ def _stieltjes(n):
     return coeffs, Fraction(2 ** (n + 1) * f(n) ** 2, (2 * n + 1) * f(2 * n))
 
 
-def _horner(coeffs, y):
-    # (F(y), F'(y)) for coefficients highest power first
-    f = d = 0 * y
-    for a in coeffs:
-        f, d = f * y + a, d * y + f
-    return f, d
-
-
 @functools.cache
 def _gk_table(degree, rung):
     # ((xs, Kronrod ws, Gauss ws) in mpf, xs 2^rung, Kronrod cs 2^rung,
@@ -240,12 +235,13 @@ def _gk_table(degree, rung):
     # below n, so only lead terms survive; with E monic,
     #   C / (P_n(x) E'(x))             at a zero x of E, and
     #   w_gauss + C / (P_n'(x) E(x))   at a zero x of P_n.
+    # E's zeros are 0 and +-sqrt(y), each zero y of F found by findroot in
+    # mpf between two squared Gauss nodes (the last between x_max^2 and 1).
     from mpmath import mp
     from mpmath.calculus.quadrature import GaussLegendre
     gauss = GaussLegendre(mp).get_nodes(-1, 1, degree, rung)
     n = len(gauss)
     exact, cc = _stieltjes(n)
-    floats = [float(a) for a in exact]
     with mp.workprec(rung + 20):
         coeffs = [mp.mpf(a.numerator) / a.denominator for a in exact]
         cc = mp.mpf(cc.numerator) / cc.denominator
@@ -256,30 +252,16 @@ def _gk_table(degree, rung):
                 p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
             return p, n * (x * p - q) / (x * x - 1)
 
-        def zero(lo, hi):
-            # F's zero between two squared Gauss nodes: bisection in doubles
-            # to ~40 correct bits, then Newton, which about doubles them per
-            # step; counting from 30 leaves a step to spare
-            up = _horner(floats, lo)[0] > 0
-            for _ in range(50):
-                mid = (lo + hi) / 2
-                if (_horner(floats, mid)[0] > 0) == up:
-                    lo = mid
-                else:
-                    hi = mid
-            y, good = mp.mpf(lo), 30
-            while good < rung + 20:
-                f, d = _horner(coeffs, y)
-                y -= f / d
-                good *= 2
-            return y
+        def stieltjes(y):  # F(y); one argument, as findroot calls f(*bracket)
+            return mp.polyval(coeffs, y)
 
         xs = [x for x, _ in gauss]
         gs = [w for _, w in gauss]
-        ks = [w + cc / (legendre(x)[1] * x * _horner(coeffs, x * x)[0]) for x, w in gauss]
-        squares = sorted(float(x) ** 2 for x in xs if x > 0)
-        for y in [mp.zero] + [zero(lo, hi) for lo, hi in zip(squares, squares[1:] + [1.0])]:
-            f, d = _horner(coeffs, y)
+        ks = [w + cc / (legendre(x)[1] * x * stieltjes(x * x)) for x, w in gauss]
+        squares = sorted(x * x for x in xs if x > 0) + [mp.one]
+        roots = [mp.findroot(stieltjes, b, solver="anderson") for b in zip(squares, squares[1:])]
+        for y in [mp.zero] + roots:
+            f, d = mp.polyval(coeffs, y, derivative=True)
             r = mp.sqrt(y)
             w = cc / (legendre(r)[0] * (f + 2 * y * d))  # E'(r) = F + 2 r^2 F'
             for x in (r, -r) if y else (r,):
@@ -478,16 +460,17 @@ def point_at(tau: float, xi: float) -> PropagatorPoint:
     )
 
 
-def _linspace(start: float, stop: float, n: int) -> list[float]:
-    """np.linspace(start, stop, n >= 2) bit for bit, by numpy's own formula."""
+def _linspace(start: float, stop: float, n: int) -> Iterator[float]:
+    """np.linspace(start, stop, n >= 2) bit for bit, by numpy's own formula, lazily."""
     span = stop - start
     step = span / (n - 1)
     if step == 0.0:  # a subnormal span: numpy scales by i/(n - 1) first
-        grid = [(i / (n - 1)) * span + start for i in range(n)]
+        for i in range(n - 1):
+            yield (i / (n - 1)) * span + start
     else:
-        grid = [i * step + start for i in range(n)]
-    grid[-1] = float(stop)
-    return grid
+        for i in range(n - 1):
+            yield i * step + start
+    yield float(stop)
 
 
 def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
@@ -502,15 +485,15 @@ def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
         raise DomainError(f"need 0 < z_min < z_max, got [{z_min!r}, {z_max!r}]")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps!r}")
-    grid = _linspace(z_min, z_max, steps)
-    # the grid increases and z == xi on tau = 0, so its last point bounds
-    # every z; a refusal names the first point past the bound, as point_at does
-    if grid[-1] > Z_UNDERFLOW:
-        _checked_z(next(xi for xi in grid if xi > Z_UNDERFLOW), "k0")
-    return _rows(grid)
+    # the grid increases to its last point z_max and z == xi on tau = 0, so
+    # z_max bounds every z; a refusal names the first point past the bound,
+    # as point_at does
+    if z_max > Z_UNDERFLOW:
+        _checked_z(next(xi for xi in _linspace(z_min, z_max, steps) if xi > Z_UNDERFLOW), "k0")
+    return _rows(_linspace(z_min, z_max, steps))
 
 
-def _rows(grid: list[float]) -> Iterator[tuple]:
+def _rows(grid: Iterable[float]) -> Iterator[tuple]:
     # point_at's arithmetic on a grid already checked: one _interval per
     # row, and no timelike class, since z == xi > 0.  On tau = 0 the rounded
     # s = fl(xi^2) is on the same side of 1 and of 1/4 as the exact xi^2,

@@ -146,14 +146,9 @@ def run_theorem(tid):
     return _record(tid, *entry)
 
 
-def run_all(ids=None):
-    """Verify the suite in its fixed order.
-
-    An empty or missing ``ids`` runs everything; otherwise only the named
-    theorems run, in the order given.
-    """
-    picked = SUITE if not ids else tuple(ids)
-    return [run_theorem(tid) for tid in picked]
+def run_all():
+    """Verify the suite in its fixed order."""
+    return [run_theorem(tid) for tid in SUITE]
 
 
 def negative_branch_record():

@@ -13,7 +13,7 @@ from qlorentz.algebra import (
     normal_form,
     symmetrize,
 )
-from qlorentz.errors import DomainError
+from qlorentz.errors import DomainError, ExprError
 from qlorentz.expr import Atom, Power, Product, Rational, Sum, parse, print_expr
 from qlorentz.rational import Coeff
 from conftest import make_poly_tree, make_tree
@@ -244,6 +244,17 @@ def test_round_trip_through_text():
         w = make_tree(rng, depth=2)
         a = normal_form(w)
         assert normal_form(parse(a.to_text())) == a
+    # a -1 heading a nested product prints folded, with the same value
+    e = Product((Rational(-1), Product((Atom("x"), Atom("x")))))
+    assert print_expr(e) == "-x*x"
+    assert nf("-x*x") == normal_form(e)
+
+
+def test_normal_form_input_types():
+    a = nf("x*p")
+    assert normal_form(a) is a
+    with pytest.raises(ExprError):
+        normal_form(object())
 
 
 def test_is_zero_helper():

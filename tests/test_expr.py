@@ -27,6 +27,8 @@ class TestGrammar:
         assert parse("3/4") == Rational(3, 4)
         assert parse("-3/4") == Rational(-3, 4)
         assert parse("6/4") == Rational(3, 2)  # reduced on construction
+        r = Rational(1, -2)
+        assert (r.num, r.den) == (-1, 2)  # the sign on the numerator
 
     def test_precedence(self):
         assert parse("x + t*p") == Sum((Atom("x"), Product((Atom("t"), Atom("p")))))
@@ -96,6 +98,8 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+        with pytest.raises(ParseError):  # no text at all
+            parse(3)
 
     def test_message_carries_offset(self):
         with pytest.raises(ParseError, match="offset 3"):
@@ -157,6 +161,12 @@ class TestAstValidation:
         with pytest.raises(ExprError):
             build()
 
+    def test_sum_and_product_need_two_children(self):
+        for node in (Sum, Product):
+            for children in ((), (Atom("x"),)):
+                with pytest.raises(ExprError):
+                    node(children)
+
     def test_negate_folds_signs(self):
         assert negate(Rational(2, 3)) == Rational(-2, 3)
         assert negate(Product((Rational(-2), Atom("x")))) == Product(
@@ -177,6 +187,10 @@ class TestNodeSemantics:
         assert hash(parse(text)) == hash(parse(text))
         assert hash(Rational(6, 4)) == hash(Rational(3, 2))
         assert len({parse("x + t"), parse("x+t"), parse("x*t")}) == 2
+
+    def test_printer_refuses_a_foreign_object(self):
+        with pytest.raises(TypeError):
+            print_expr(3)
 
     def test_repr_is_a_constructor_call(self):
         e = Power(Atom("p"), -2)
@@ -200,12 +214,15 @@ _GOLDEN_TEXTS = [
     "3/4*x^2 - 1/2",
     "H^-2*p^2*c^4",
     "x*(t - p)*(H + 1)",
+    "2^3",
+    "(-2)^3",
 ]
 
 
 @pytest.mark.parametrize("text", _GOLDEN_TEXTS)
 def test_print_parse_round_trip(text):
     tree = parse(text)
+    assert print_expr(tree) == text
     assert parse(print_expr(tree)) == tree
 
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -154,28 +155,35 @@ class TestOscillatoryRoute:
         diag = exc.value.diagnostics
         assert diag["drift"] <= 1e-8 < diag["rule_drift"]
 
-    @pytest.mark.parametrize("rung", [128, 2048])
-    def test_nested_table(self, rung):
-        # G12K25: the Kronrod rule is exact to x^37, the Gauss rule inside
-        # it to x^23, every weight is positive, and the Gauss nodes and
-        # weights are mpmath's degree-3 rule bit for bit
+    @pytest.mark.parametrize(
+        "degree,rung",
+        [(3, 128), (3, 256), (3, 512), (3, 1024), (3, 2048), (2, 512)],
+        ids=["128", "256", "512", "1024", "2048", "G6K13-512"],
+    )
+    def test_nested_table(self, degree, rung):
+        # G12K25 at every rung the route builds it at, and G6K13 at the rung
+        # test_rule_check_sees_a_coarse_rule plants it at.  With n Gauss
+        # nodes the Kronrod rule is exact to x^(3n + 1), the Gauss rule
+        # inside it to x^(2n - 1), every weight is positive, and the Gauss
+        # nodes and weights are mpmath's rule bit for bit
         from mpmath.calculus.quadrature import GaussLegendre
 
-        (xs, ks, gs), ixs, iks, igs, _ = propagator._gk_table(3, rung)
-        assert (len(xs), len(ks), len(gs), len(ixs), len(iks), len(igs)) == (25, 25, 12, 25, 25, 12)
-        assert list(zip(xs, gs)) == GaussLegendre(mp.mp).get_nodes(-1, 1, 3, rung)
-        assert len(set(xs)) == 25 and 0 in xs
+        n = 3 << (degree - 1)
+        (xs, ks, gs), ixs, iks, igs, _ = propagator._gk_table(degree, rung)
+        size = 2 * n + 1
+        assert (len(xs), len(ks), len(gs), len(ixs), len(iks), len(igs)) == (size, size, n, size, size, n)
+        assert list(zip(xs, gs)) == GaussLegendre(mp.mp).get_nodes(-1, 1, degree, rung)
+        assert len(set(xs)) == size and 0 in xs
         assert all(w > 0 for w in ks + gs)
         with mp.workprec(rung + 40):
-            for ws, top in ((ks, 37), (gs, 23)):
+            for ws, top in ((ks, 3 * n + 1), (gs, 2 * n - 1)):
                 for k in range(top + 1):
                     exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
                     got = mp.fsum(w * x**k for x, w in zip(xs, ws))
                     assert abs(got - exact) <= mp.ldexp(1, -rung), (top, k)
-            # and no further: the degrees are sharp
-            for ws, k in ((ks, 38), (gs, 24)):
-                got = mp.fsum(w * x**k for x, w in zip(xs, ws))
-                assert abs(got - mp.mpf(2) / (k + 1)) > 1e-20
+                # and no further: the degree is sharp
+                got = mp.fsum(w * x ** (top + 1) for x, w in zip(xs, ws))
+                assert abs(got - mp.mpf(2) / (top + 2)) > 1e-20, top
 
     @pytest.mark.parametrize("step,value", [(1, lambda: mp.log(2)), (2, lambda: mp.pi / 4)])
     def test_cvz_sums_alternating_series(self, step, value):
@@ -480,6 +488,17 @@ class TestScan:
     def test_infinite_end_refused(self):
         with pytest.raises(DomainError, match=r"^need 0 < z_min < z_max, got \[1\.0, inf\]$"):
             scan(1.0, math.inf, 3)
+
+    def test_grid_streams(self):
+        # the first row comes before the grid is built: 10^6 steps held as
+        # a list of floats would take ~32 MB
+        tracemalloc.start()
+        try:
+            next(propagator.scan_rows(1.0, 2.0, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_underflow_names_the_first_point_past_it(self):
         with pytest.raises(UnderflowToZero, match=r"^k0\(700\.025\) underflows double precision$"):

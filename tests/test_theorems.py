@@ -35,16 +35,10 @@ from qlorentz.theorems import (
 class TestSuite:
     def test_all_thirteen_verify(self):
         records = run_all()
+        assert [r.id for r in records] == list(SUITE)
         assert len(records) == 13
         assert all(r.status == "verified" for r in records)
         assert all(r.residual.is_zero() for r in records)
-
-    def test_id_filter(self):
-        assert [r.id for r in run_all(())] == list(SUITE)
-        subset = run_all(("T_eq9", "T_eq6"))
-        assert [r.id for r in subset] == ["T_eq9", "T_eq6"]
-        with pytest.raises(UnknownTheorem):
-            run_all(("T_eq9", "T_bogus"))
 
     def test_suite_order(self):
         assert SUITE == (
