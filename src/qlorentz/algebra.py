@@ -195,7 +195,8 @@ _I = Atom("i")
 def _gauss_terms(poly, ec):
     """Base monomial (hbar, c + ec, m, p) -> (re, im) of its coefficient."""
     out = {}
-    for (eh, c, em, ep, ei), q in poly.terms.items():
+    for (eh, c, em, ep, ei), g in poly.terms.items():
+        q = Fraction(g, poly.den)
         base = (eh, c + ec, em, ep)
         re, im = out.get(base, (0, 0))
         out[base] = (re, q) if ei else (q, im)

@@ -473,6 +473,26 @@ def _linspace(start: float, stop: float, n: int) -> Iterator[float]:
     yield float(stop)
 
 
+def _first_above(start: float, stop: float, n: int, bound: float) -> float:
+    """The first point of ``_linspace(start, stop, n)`` above bound < stop.
+
+    For a span that is not subnormal.  i * step + start never decreases
+    with i, so a bisection on i finds the point in about log2(n) steps.
+    Stepping from the index (bound - start) / step would not do: where the
+    step is far below the spacing of doubles near bound, millions of
+    indices round to bound itself.
+    """
+    step = (stop - start) / (n - 1)
+    lo, hi = 0, n - 1  # the first index above bound is in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * step + start > bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo * step + start if lo < n - 1 else float(stop)
+
+
 def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
     """The tau = 0 slice on a linear inclusive grid, as plain row tuples.
 
@@ -487,9 +507,9 @@ def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
         raise DomainError(f"need steps >= 2, got {steps!r}")
     # the grid increases to its last point z_max and z == xi on tau = 0, so
     # z_max bounds every z; a refusal names the first point past the bound,
-    # as point_at does
+    # as point_at does.  A span reaching past Z_UNDERFLOW is not subnormal.
     if z_max > Z_UNDERFLOW:
-        _checked_z(next(xi for xi in _linspace(z_min, z_max, steps) if xi > Z_UNDERFLOW), "k0")
+        _checked_z(_first_above(z_min, z_max, steps, Z_UNDERFLOW), "k0")
     return _rows(_linspace(z_min, z_max, steps))
 
 

@@ -3,14 +3,17 @@
 Three layers, all over exact rationals (no floats anywhere):
 
 * ``Terms``       -- a map from keys to nonzero values: the additive core
-                     (zero, equality, +, -) shared by ``Poly`` and by
-                     ``algebra.NormalForm``.  A value is zero when it is
-                     falsy, so one merge serves ``Fraction`` and ``Coeff``.
+                     (zero, equality, +, -) of ``algebra.NormalForm``, and
+                     the base of ``Poly``.  A value is zero when it is
+                     falsy, so one merge serves ``int`` and ``Coeff``.
                      No zero value is stored; each operation that can make
                      one drops it there, so construction checks nothing.
 * ``Poly``        -- Laurent polynomials in the central scalars
-                     (hbar, c, m, p, i) with nonzero ``Fraction``
-                     coefficients.  hbar, c, m and p are invertible, so
+                     (hbar, c, m, p, i) with rational coefficients, kept
+                     as nonzero ``int`` numerators over one positive
+                     denominator coprime to their content (the layout of
+                     FLINT's fmpq_poly), so most coefficient arithmetic is
+                     on small ints.  hbar, c, m and p are invertible, so
                      their exponents may be negative (p^-1 is a generator
                      in its own right).  The exponent of i is kept in
                      {0, 1} by folding i^2 = -1 into the coefficient, so a
@@ -25,7 +28,7 @@ Three layers, all over exact rationals (no floats anywhere):
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 
 # monomial index order: (hbar, c, m, p, i)
 MON_ONE = (0, 0, 0, 0, 0)
@@ -76,26 +79,67 @@ class Terms:
         return self + (-other)
 
 
-class Poly(Terms):
-    """Laurent polynomial in (hbar, c, m, p) over Q(i).
+def _reduced(terms, den):
+    """The Poly terms / den, with the common factor of den and the values cancelled."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {mono: v // g for mono, v in terms.items()}
+            den //= g
+    return Poly(terms, den)
 
-    terms: dict[(eh, ec, em, ep, ei)] -> nonzero Fraction, ei in {0, 1}.
+
+def _sum(polys):
+    """The sum of a nonempty sequence of Polys, over the lcm of their denominators."""
+    den = math.lcm(*[f.den for f in polys])
+    scaled = [
+        f.terms if f.den == den else {mono: g * (den // f.den) for mono, g in f.terms.items()}
+        for f in polys
+    ]
+    out = dict(scaled[0])
+    for terms in scaled[1:]:
+        _merge(out, terms)
+    return _reduced(out, den)
+
+
+class Poly(Terms):
+    """Laurent polynomial in (hbar, c, m, p) over Q(i), as integer
+    numerators over one denominator.
+
+    terms: dict[(eh, ec, em, ep, ei)] -> nonzero int, ei in {0, 1}; the
+    value is the sum of the terms divided by den.  Canonical: den >= 1,
+    gcd(den, *values) == 1, and den == 1 when there are no terms.
     """
 
-    __slots__ = ()
+    __slots__ = ("den",)
+
+    def __init__(self, terms=None, den=1):
+        self.terms = terms or {}
+        self.den = den
 
     @staticmethod
     def monomial(g, eh=0, ec=0, em=0, ep=0, ei=0):
-        """g hbar^eh c^ec m^em p^ep i^ei for any integer ei."""
+        """g hbar^eh c^ec m^em p^ep i^ei for a rational g and any integer ei."""
         if not g:
             return Poly()
-        g = Fraction(g)
+        num, den = g.as_integer_ratio()
         if ei & 2:  # i^k = -i^(k-2)
-            g = -g
-        return Poly({(eh, ec, em, ep, ei & 1): g})
+            num = -num
+        return Poly({(eh, ec, em, ep, ei & 1): num}, den)
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
+
+    def __add__(self, other):
+        return _sum((self, other))
+
+    def __neg__(self):
+        return Poly({mono: -g for mono, g in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         out = {}
@@ -116,13 +160,14 @@ class Poly(Terms):
                         out[mono] = acc
                     else:
                         del out[mono]
-        return Poly(out)
+        return _reduced(out, self.den * other.den)
 
     def scale(self, q):
         """Multiply by the rational q."""
         if not q:
             return Poly()
-        return Poly({mono: g * q for mono, g in self.terms.items()})
+        num, den = q.as_integer_ratio()
+        return _reduced({mono: g * num for mono, g in self.terms.items()}, self.den * den)
 
     def shift(self, eh=0, ec=0, em=0, ep=0):
         """Multiply by the monomial hbar^eh c^ec m^em p^ep."""
@@ -130,17 +175,19 @@ class Poly(Terms):
             {
                 (m[0] + eh, m[1] + ec, m[2] + em, m[3] + ep, m[4]): g
                 for m, g in self.terms.items()
-            }
+            },
+            self.den,
         )
 
     def diff_p(self):
         """Formal d/dp; exact on Laurent monomials."""
-        return Poly(
+        return _reduced(
             {
                 (eh, ec, em, ep - 1, ei): g * ep
                 for (eh, ec, em, ep, ei), g in self.terms.items()
                 if ep
-            }
+            },
+            self.den,
         )
 
     def div_shell(self):
@@ -149,6 +196,9 @@ class Poly(Terms):
         Shell is monic in p, so division is plain synthetic division once
         negative p-exponents are shifted away (p is a unit, shell is not
         divisible by p, so the shift cannot hide or create divisibility).
+        The quotient of the numerators is an integer polynomial, and shell
+        is primitive, so by Gauss's lemma its content is that of self's
+        numerators: the denominator carries over unreduced.
         """
         if not self.terms:
             return Poly()
@@ -173,10 +223,10 @@ class Poly(Terms):
                     rem[low] = acc
                 elif low in rem:
                     del rem[low]
-        return Poly({(m[0], m[1], m[2], m[3] + shift, m[4]): g for m, g in quot.items()})
+        return Poly({(m[0], m[1], m[2], m[3] + shift, m[4]): g for m, g in quot.items()}, self.den)
 
     def __repr__(self):
-        return f"Poly({self.terms!r})"
+        return f"Poly({self.terms!r}, den={self.den})"
 
 
 P_ONE = Poly.monomial(1)
@@ -242,10 +292,7 @@ class Coeff:
             return parts[0]
         k = max([c.spow for c in parts])
         nums = [c.num if c.spow == k else c.num * _shell_pow(k - c.spow) for c in parts]
-        out = dict(nums[0].terms)
-        for num in nums[1:]:
-            _merge(out, num.terms)
-        return Coeff(Poly(out), k)
+        return Coeff(_sum(nums), k)
 
     def __add__(self, other):
         return Coeff.sum((self, other))

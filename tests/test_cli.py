@@ -444,6 +444,14 @@ class TestScan:
         got = run_cli("scan", "--z-min", "1", "--z-max", "800", "--steps", "1000", "--format", fmt)
         assert got == (2, "", "error: k0(700.025) underflows double precision\n")
 
+    def test_underflow_refused_at_once_on_a_huge_grid(self):
+        # a walk over 10^12 grid points to the first one past the bound
+        # would take hours
+        argv = ("scan", "--z-min", "1", "--z-max", "800", "--steps", "1000000000000")
+        got = run_python("-m", "qlorentz.cli", *argv, timeout=20)
+        assert (got.returncode, got.stdout) == (2, "")
+        assert got.stderr == "error: k0(700) underflows double precision\n"
+
     @pytest.mark.parametrize(
         "argv,sha256",
         [

@@ -504,6 +504,32 @@ class TestScan:
         with pytest.raises(UnderflowToZero, match=r"^k0\(700\.025\) underflows double precision$"):
             scan(1.0, 800.0, 1000)
 
+    def test_underflow_refusal_names_the_walks_point(self):
+        # the refusal finds its point without walking the grid; it must name
+        # the point a walk from z_min finds, on grids that hit the bound
+        # exactly, end just past it, start past it, or step so far below the
+        # spacing of doubles that half their points round to the bound
+        cases = [
+            (1.0, 800.0, 800),
+            (600.0, 800.0, 3),
+            (1.0, 700.0 + 2**-43, 10**5),
+            (750.0, 800.0, 7),
+            (700.0 - 2**-43, 700.0 + 2**-43, 10**5),
+        ]
+        rng = random.Random(29)
+        for _ in range(60):
+            z_min = rng.choice((rng.uniform(1e-3, Z_UNDERFLOW), rng.uniform(699.0, 701.0)))
+            z_max = max(z_min, Z_UNDERFLOW) + rng.choice((rng.uniform(0.0, 200.0), rng.uniform(0.0, 1e-9)))
+            cases.append((z_min, z_max, round(10 ** rng.uniform(0.3, 5))))
+        for z_min, z_max, steps in cases:
+            if not z_min < z_max or z_max <= Z_UNDERFLOW or steps < 2:
+                continue
+            walk = next(xi for xi in propagator._linspace(z_min, z_max, steps) if xi > Z_UNDERFLOW)
+            assert propagator._first_above(z_min, z_max, steps, Z_UNDERFLOW) == walk
+            with pytest.raises(UnderflowToZero) as refused:
+                next(propagator.scan_rows(z_min, z_max, steps))
+            assert str(refused.value) == f"k0({walk:g}) underflows double precision"
+
     @settings(max_examples=100, deadline=None)
     @given(
         ends=st.one_of(

@@ -7,6 +7,7 @@ plain arithmetic on exact (re, im) pairs of Fractions, which catches
 bookkeeping mistakes without repeating the implementation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ def _cmul(u, v):
 def _eval_poly(poly: Poly, hv: Fraction, cv: Fraction, mv: Fraction, pv: Fraction):
     total = (Fraction(0), Fraction(0))
     for (eh, ec, em, ep, ei), g in poly.terms.items():
-        value = g * hv**eh * cv**ec * mv**em * pv**ep
+        value = Fraction(g, poly.den) * hv**eh * cv**ec * mv**em * pv**ep
         total = _cadd(total, (0, value) if ei else (value, 0))
     return total
 
@@ -163,6 +164,47 @@ class TestPoly:
     def test_c2_shell_relation(self):
         assert C2_SHELL == SHELL.shift(ec=2)
 
+    def test_equal_values_share_one_representation(self):
+        """Values reached by different routes are equal, hash equally and
+        keep the smallest denominator: a cleared one is 1."""
+        half = Poly.monomial(Fraction(1, 2))
+        routes = [
+            (half + half, P_ONE),
+            (Poly.monomial(Fraction(1, 6)) + Poly.monomial(Fraction(1, 3)), half),
+            (Poly.monomial(Fraction(1, 2), ep=2).diff_p(), P_P),
+            (Poly.monomial(Fraction(3, 6)), half),
+            (half * Poly.monomial(2), P_ONE),
+            (Poly.monomial(2).scale(Fraction(1, 4)), half),
+            (half - half, Poly.zero()),
+        ]
+        for got, expect in routes:
+            assert got == expect and hash(got) == hash(expect), (got, expect)
+            assert got.den == expect.den, (got, expect)
+            _assert_canonical(got)
+        assert half.den == 2 and P_ONE.den == 1
+
+    @given(
+        monomials=st.lists(
+            st.tuples(
+                st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                st.integers(0, 2),
+                st.integers(-2, 3),
+                st.integers(0, 3),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shell_division_keeps_the_denominator(self, monomials):
+        """(f * shell) / shell is f, denominator included, for f whose
+        coefficients have mixed denominators."""
+        f = Poly.zero()
+        for g, em, ep, ei in monomials:
+            f = f + Poly.monomial(g, em=em, ep=ep, ei=ei)
+        q = (f * SHELL).div_shell()
+        assert q == f and q.den == f.den and hash(q) == hash(f)
+        _assert_canonical(q)
+
 
 class TestCoeff:
     def test_constructor_reduces(self):
@@ -236,9 +278,10 @@ def test_uniqueness_of_representation():
 
 
 def _assert_canonical(value):
-    """A Poly keeps i's exponent in {0, 1}; a NormalForm keys its terms by
-    (a >= 0, b >= 0, eps in {0, 1}) and holds maximally reduced Coeffs;
-    neither stores a zero."""
+    """A Poly keeps i's exponent in {0, 1} and nonzero int numerators over a
+    denominator den >= 1 coprime to their content, den == 1 when it is zero;
+    a NormalForm keys its terms by (a >= 0, b >= 0, eps in {0, 1}) and holds
+    maximally reduced Coeffs; neither stores a zero."""
     if isinstance(value, NormalForm):
         for key, coeff in value.terms.items():
             a, b, eps = key
@@ -249,7 +292,9 @@ def _assert_canonical(value):
         return
     for mono, g in value.terms.items():
         assert len(mono) == 5 and mono[4] in (0, 1), mono
-        assert type(g) is Fraction and g != 0, (mono, g)
+        assert type(g) is int and g != 0, (mono, g)
+    assert type(value.den) is int and value.den >= 1, value
+    assert math.gcd(value.den, *value.terms.values()) == 1, value
 
 
 def test_canonical_form_invariant():
