@@ -13,7 +13,6 @@ as a shell reports for ``yes | head``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -62,6 +61,8 @@ def _cmd_verify(args) -> int:
 
     ok = sum(1 for r in records if r.status == "verified")
     if args.format == "json":
+        import json  # only the json format needs it
+
         payload = {
             "command": "verify",
             "inputs": {"theorem": args.theorem, "show_steps": args.show_steps},
@@ -159,6 +160,8 @@ def _cmd_scan(args) -> int:
     # does; _value_ is the enum's own attribute, a tenth of the cost of .value
     lines = (_ROW % (z, itv + 0.0, g, prob, c2._value_, c13._value_) for _, z, itv, g, prob, c2, c13 in rows)
     if args.format == "json":
+        import json  # only the json format needs it
+
         # JSON holds the numbers as printed, to 12 digits
         cells = (line[:-1].split(",") for line in lines)
         records = [dict(zip(_FIELDS, (*map(float, c[:5]), *c[5:]))) for c in cells]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import statistics
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
@@ -505,6 +504,8 @@ def scan_rows(z_min: float, z_max: float, steps: int) -> Iterator[tuple]:
         raise DomainError(f"need 0 < z_min < z_max, got [{z_min!r}, {z_max!r}]")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps!r}")
+    if steps - 1 > _NORMAL_MAX:  # exact: Python compares an int and a float without converting
+        raise DomainError(f"need steps - 1 <= {_NORMAL_MAX!r}, the largest double")
     # the grid increases to its last point z_max and z == xi on tau = 0, so
     # z_max bounds every z; a refusal names the first point past the bound,
     # as point_at does.  A span reaching past Z_UNDERFLOW is not subnormal.
@@ -531,7 +532,7 @@ def _rows(grid: Iterable[float]) -> Iterator[tuple]:
             z,
             -s,
             g,
-            abs(complex(g, 0.0)) ** 2,  # point_at's prob, bit for bit
+            g ** 2,  # point_at's prob, bit for bit: abs(complex(g, 0.0)) is g > 0
             near if s <= eq2 else far,
             near if s <= eq13 else far,
         )
@@ -555,6 +556,8 @@ def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
         raise DomainError(f"need 0 < z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n < 3:
         raise DomainError(f"need n >= 3, got {n!r}")
+    import statistics  # only this function needs it
+
     zs = [10.0**e for e in _linspace(math.log10(z_lo), math.log10(z_hi), n)]
     # in logs: the square of K0/2pi itself underflows past z ~ 354
     ys = [2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs]

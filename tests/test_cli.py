@@ -111,6 +111,23 @@ class TestImportDiet:
         assert "qlorentz.cli" in loaded
         assert not {"dataclasses", "inspect"} & (loaded - bare)
 
+    def test_only_json_output_loads_json(self):
+        # json and statistics load where they are used: --format json and falloff_fit
+        bare = set(run_python("-c", "import sys; print(*sys.modules)").stdout.split())
+        light = [argv for argv in _LIGHT_COMMANDS if "json" not in argv]
+        code = (
+            "import contextlib, io, sys, qlorentz.cli\n"
+            f"for argv in {light!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qlorentz.cli.main(argv) == 0\n"
+            "print(*sys.modules)\n"
+        )
+        got = run_python("-c", code)
+        assert got.returncode == 0, got.stderr
+        loaded = set(got.stdout.split())
+        assert "qlorentz.propagator" in loaded
+        assert not {"json", "statistics"} & (loaded - bare)
+
 
 class TestVerify:
     def test_full_suite(self):
@@ -451,6 +468,14 @@ class TestScan:
         got = run_python("-m", "qlorentz.cli", *argv, timeout=20)
         assert (got.returncode, got.stdout) == (2, "")
         assert got.stderr == "error: k0(700) underflows double precision\n"
+
+    @pytest.mark.parametrize("z_max", ["2", "800"])
+    def test_steps_past_the_largest_double_refused(self, z_max):
+        # 10^400 - 1 grid intervals do not convert to a float
+        argv = ("scan", "--z-min", "1", "--z-max", z_max, "--steps", "1" + "0" * 400)
+        got = run_python("-m", "qlorentz.cli", *argv, timeout=20)
+        assert (got.returncode, got.stdout) == (2, "")
+        assert got.stderr == "error: need steps - 1 <= 1.7976931348623157e+308, the largest double\n"
 
     @pytest.mark.parametrize(
         "argv,sha256",

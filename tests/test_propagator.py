@@ -58,6 +58,68 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+# The kernel's branch loops as they were first written, a reference for
+# rewrites of _kernels that must keep every double: rounding is what a
+# speed-up can change, and a tolerance against mpmath would not see it.
+
+
+def ref_k0_series(z):
+    q = 0.25 * z * z
+    term = 1.0
+    bessel_i0 = 1.0
+    harmonic = 0.0
+    logfree = 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * k)
+        harmonic += 1.0 / k
+        bessel_i0 += term
+        logfree += term * harmonic
+        if term * harmonic < 1e-19 * (bessel_i0 + logfree) and k >= 4:
+            break
+    half = 0.5 * z
+    log_half = math.log(half) if 2.0 * half == z else math.log(z) - math.log(2.0)
+    return -(log_half + EULER_GAMMA) * bessel_i0 + logfree
+
+
+def ref_k0_bridge(z):
+    h = 0.35 / math.sqrt(1.0 + z)
+    total = 0.5
+    k = 0
+    while True:
+        k += 1
+        deficit = z * (math.cosh(k * h) - 1.0)
+        if deficit > 45.0:
+            break
+        total += math.exp(-deficit)
+    return h * total * math.exp(-z)
+
+
+def ref_k0_asymptotic(z):
+    acc = 1.0
+    term = 1.0
+    k = 0
+    while True:
+        k += 1
+        nxt = -term * (2 * k - 1) * (2 * k - 1) / (8.0 * k * z)
+        if abs(nxt) >= abs(term) or k > 60:
+            break
+        term = nxt
+        acc += term
+        if abs(term) < 5e-17 * abs(acc):
+            break
+    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * acc
+
+
+def ref_k0(z):
+    if z <= 2.0:
+        return ref_k0_series(z)
+    if z < 14.0:
+        return ref_k0_bridge(z)
+    return ref_k0_asymptotic(z)
+
+
 class TestK0:
     def test_pinned_values(self):
         assert rel(k0(1.0), K0_AT_1) < 1e-10
@@ -108,6 +170,36 @@ class TestK0:
             for z in np.logspace(math.log10(1e-6), math.log10(699.9), 400):
                 z = float(z)
                 assert rel(k0(z), float(mp.besselk(0, z))) <= 1e-10, z
+
+
+class TestKernelOracle:
+    """_kernels returns the reference loops' double at every z, branch by branch."""
+
+    @staticmethod
+    def assert_same_doubles(zs):
+        for z in zs:
+            assert _kernels.k0(z) == ref_k0(z), z
+            # the bridge and the asymptotic loop end on all of (0, 700];
+            # off their own intervals they run larger terms, whose rounding
+            # reaches the returned double far more often than on them
+            assert _kernels.k0_asymptotic(z) == ref_k0_asymptotic(z), z
+            if z >= 1e-300:  # below ~4e-307 cosh overflows before the trapezoid ends
+                assert _kernels.k0_bridge(z) == ref_k0_bridge(z), z
+            if z <= 4.0:  # the series runs ~z terms, slow past its interval
+                assert _kernels.k0_series(z) == ref_k0_series(z), z
+
+    def test_grid(self):
+        # all of the domain, and (0, 20] once more, around both splices
+        self.assert_same_doubles(700.0 * i / 50_000 for i in range(1, 50_001))
+        self.assert_same_doubles(20.0 * i / 20_000 for i in range(1, 20_001))
+
+    def test_splices(self):
+        self.assert_same_doubles(ulps_from(z, k) for z in (2.0, 14.0) for k in range(-100, 101))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=Z_UNDERFLOW, exclude_min=True))
+    def test_any_z(self, z):
+        self.assert_same_doubles([z])
 
 
 class TestOscillatoryRoute:
@@ -488,6 +580,20 @@ class TestScan:
     def test_infinite_end_refused(self):
         with pytest.raises(DomainError, match=r"^need 0 < z_min < z_max, got \[1\.0, inf\]$"):
             scan(1.0, math.inf, 3)
+
+    @pytest.mark.parametrize("z_max", [2.0, 800.0])
+    def test_steps_past_the_largest_double_refused(self, z_max):
+        # steps - 1 must convert to a float: the grid's step divides by it
+        largest = int(sys.float_info.max)
+        with pytest.raises(DomainError, match=r"^need steps - 1 <= 1\.7976931348623157e\+308"):
+            propagator.scan_rows(1.0, z_max, largest + 2)
+        with pytest.raises(DomainError):
+            propagator.scan_rows(1.0, z_max, 10**400)
+        if z_max < Z_UNDERFLOW:
+            assert next(propagator.scan_rows(1.0, z_max, largest + 1))[0] == 1.0
+        else:
+            with pytest.raises(UnderflowToZero):
+                propagator.scan_rows(1.0, z_max, largest + 1)
 
     def test_grid_streams(self):
         # the first row comes before the grid is built: 10^6 steps held as
