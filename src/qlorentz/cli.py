@@ -152,6 +152,9 @@ def _cmd_propagator(args) -> int:
 _FIELDS = ("z", "interval_over_lambdabar2", "gamma_re", "gamma_im", "prob", "class_eq2", "class_eq13")
 # one row as printed, in _FIELDS order; the kernel route's gamma_im is 0
 _ROW = "%.12g,%.12g,%.12g,0,%.12g,%s,%s\n"
+# one row's cells as a record of json.dumps(records, indent=2), which writes a
+# finite float (every cell here is one) as its repr
+_RECORD = "  {\n%s\n  }" % ",\n".join(f'    "{f}": {v}' for f, v in zip(_FIELDS, ("%r",) * 5 + ('"%s"',) * 2))
 
 
 def _cmd_scan(args) -> int:
@@ -159,15 +162,16 @@ def _cmd_scan(args) -> int:
     # + 0.0 folds the -0.0 interval of an underflowing s into 0.0, as _real
     # does; _value_ is the enum's own attribute, a tenth of the cost of .value
     lines = (_ROW % (z, itv + 0.0, g, prob, c2._value_, c13._value_) for _, z, itv, g, prob, c2, c13 in rows)
+    write = sys.stdout.write
     if args.format == "json":
-        import json  # only the json format needs it
-
-        # JSON holds the numbers as printed, to 12 digits
-        cells = (line[:-1].split(",") for line in lines)
-        records = [dict(zip(_FIELDS, (*map(float, c[:5]), *c[5:]))) for c in cells]
-        print(json.dumps(records, indent=2))
+        # JSON holds the numbers as printed, to 12 digits; a scan has two rows or more
+        sep = "[\n"
+        for line in lines:
+            cells = line[:-1].split(",")
+            write(sep + _RECORD % (*map(float, cells[:5]), *cells[5:]))
+            sep = ",\n"
+        write("\n]\n")
     else:
-        write = sys.stdout.write
         write(",".join(_FIELDS) + "\n")
         for line in lines:
             write(line)

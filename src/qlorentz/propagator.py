@@ -559,9 +559,15 @@ def falloff_fit(z_lo: float, z_hi: float, n: int = 50) -> float:
     import statistics  # only this function needs it
 
     zs = [10.0**e for e in _linspace(math.log10(z_lo), math.log10(z_hi), n)]
+    # the window's own ends: 10**log10(z) can miss them by an ulp, and the
+    # ulp above z_hi = Z_UNDERFLOW is a z the kernel refuses
+    zs[0], zs[-1] = z_lo, z_hi
     # in logs: the square of K0/2pi itself underflows past z ~ 354
     ys = [2.0 * math.log(k0(z) / TWO_PI) + math.log(z) for z in zs]
-    return statistics.linear_regression(zs, ys).slope
+    try:
+        return statistics.linear_regression(zs, ys).slope
+    except statistics.StatisticsError as exc:  # the squared spread of a subnormal window underflows
+        raise DomainError(f"no slope over [{z_lo!r}, {z_hi!r}] in double precision: {exc}") from None
 
 
 def hbound_check(p_samples: int) -> bool:

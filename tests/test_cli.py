@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlorentz
 from qlorentz import cli, errors, propagator
@@ -112,12 +114,12 @@ class TestImportDiet:
         assert not {"dataclasses", "inspect"} & (loaded - bare)
 
     def test_only_json_output_loads_json(self):
-        # json and statistics load where they are used: --format json and falloff_fit
+        # json and statistics load where they are used: verify --format json
+        # and falloff_fit; scan writes its JSON text itself
         bare = set(run_python("-c", "import sys; print(*sys.modules)").stdout.split())
-        light = [argv for argv in _LIGHT_COMMANDS if "json" not in argv]
         code = (
             "import contextlib, io, sys, qlorentz.cli\n"
-            f"for argv in {light!r}:\n"
+            f"for argv in {_LIGHT_COMMANDS!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert qlorentz.cli.main(argv) == 0\n"
             "print(*sys.modules)\n"
@@ -448,6 +450,43 @@ class TestScan:
 ]
 """
 
+    @staticmethod
+    def assert_json_is_csv_dumped(*grid):
+        """The JSON text is json.dumps of the CSV's records, the numbers as printed."""
+        code, csv_out, _ = run_cli("scan", *grid)
+        assert code == 0
+        cells = [line.split(",") for line in csv_out.splitlines()[1:]]
+        want = json.dumps([dict(zip(cli._FIELDS, (*map(float, c[:5]), *c[5:]))) for c in cells], indent=2) + "\n"
+        assert run_cli("scan", *grid, "--format", "json") == (0, want, "")
+        return want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ends=st.lists(
+            st.floats(min_value=0.0, max_value=propagator.Z_UNDERFLOW, exclude_min=True),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        steps=st.integers(2, 60),
+    )
+    def test_json_is_the_csv_dumped(self, ends, steps):
+        z_min, z_max = sorted(ends)
+        self.assert_json_is_csv_dumped("--z-min", repr(z_min), "--z-max", repr(z_max), "--steps", str(steps))
+
+    @pytest.mark.parametrize(
+        "z_min,z_max,steps,line",
+        [
+            ("1e-320", "2e-320", "500", '"interval_over_lambdabar2": 0.0,'),  # s is -0.0
+            ("340", "400", "300", '"prob": 0.0,'),  # (K0/2pi)^2 underflows
+            ("600", "700", "300", '"z": 700.0,'),
+        ],
+        ids=["subnormal", "prob-underflow", "domain-end"],
+    )
+    def test_json_is_the_csv_dumped_on_edge_grids(self, z_min, z_max, steps, line):
+        want = self.assert_json_is_csv_dumped("--z-min", z_min, "--z-max", z_max, "--steps", steps)
+        assert f"    {line}\n" in want
+
     def test_bad_range(self):
         code, _, _ = run_cli("scan", "--z-min", "3", "--z-max", "1", "--steps", "5")
         assert code == 2
@@ -593,20 +632,41 @@ class TestProcessLevel:
         proc = run_process()
         assert proc.returncode == 2
 
-    def test_closed_pipe_exits_quietly(self):
+    @pytest.mark.parametrize("fmt,first", [("csv", b"z,"), ("json", b"[\n")], ids=["csv", "json"])
+    def test_closed_pipe_exits_quietly(self, fmt, first):
         """A reader that stops early gets 141 (128 + SIGPIPE) and no traceback."""
+        argv = ["scan", "--z-min", "0.1", "--z-max", "5", "--steps", "20000", "--format", fmt]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qlorentz.cli", "scan", "--z-min", "0.1", "--z-max", "5", "--steps", "20000"],
+            [sys.executable, "-m", "qlorentz.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=_child_env(),
         )
-        assert proc.stdout.readline().startswith(b"z,")
+        assert proc.stdout.readline().startswith(first)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_json_scan_streams(self):
+        # VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts at the
+        # high-water mark of the process that forked it, this test's included
+        code = (
+            "import contextlib, os, sys, qlorentz.cli\n"
+            "argv = ['scan', '--z-min', '0.1', '--z-max', '5', '--steps', '200000', '--format', sys.argv[1]]\n"
+            "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+            "    assert qlorentz.cli.main(argv) == 0\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(int(ln.split()[1]) for ln in status if ln.startswith('VmHWM:')))\n"
+        )
+        peak_kb = {}
+        for fmt in ("csv", "json"):
+            got = run_python("-c", code, fmt)
+            assert got.returncode == 0, got.stderr
+            peak_kb[fmt] = int(got.stdout)
+        assert peak_kb["json"] - peak_kb["csv"] <= 5 * 1024, peak_kb
 
     def test_complex_formatting(self):
         proc = run_process(

@@ -677,18 +677,36 @@ class TestFalloff:
         want, _ = np.polyfit(zs, ys, 1)
         assert rel(falloff_fit(z_lo, z_hi, n), want) <= 1e-12
 
-    def test_window_past_square_underflow(self):
-        # (K0/2pi)^2 underflows to 0 past z ~ 372; the fit must not take its log
-        zs = np.logspace(0.0, math.log10(690.0), 50)
+    @staticmethod
+    def mpmath_slope(z_hi):
+        """The fit over [1, z_hi] by mpmath's besselk and numpy's polyfit."""
+        zs = np.logspace(0.0, math.log10(z_hi), 50)
         ys = [float(2 * mp.log(mp.besselk(0, z) / (2 * mp.pi)) + mp.log(z)) for z in zs]
         want, _ = np.polyfit(zs, ys, 1)
-        assert rel(falloff_fit(1.0, 690.0), want) <= 1e-8
+        return want
+
+    def test_window_past_square_underflow(self):
+        # (K0/2pi)^2 underflows to 0 past z ~ 372; the fit must not take its log
+        assert rel(falloff_fit(1.0, 690.0), self.mpmath_slope(690.0)) <= 1e-8
+
+    def test_window_ending_at_the_kernels_bound(self):
+        # 10**log10(700) is 700.0000000000001, a z the kernel refuses
+        assert rel(falloff_fit(1.0, Z_UNDERFLOW), self.mpmath_slope(Z_UNDERFLOW)) <= 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
             falloff_fit(5.0, 5.0, 10)
         with pytest.raises(DomainError):
             falloff_fit(5.0, 15.0, 2)
+
+    def test_window_past_the_kernel_refused(self):
+        with pytest.raises(UnderflowToZero, match=r"^k0\(700\.5\) underflows"):
+            falloff_fit(1.0, Z_UNDERFLOW + 0.5)
+
+    def test_subnormal_window_refused(self):
+        # the squared spread of the z samples underflows to 0
+        with pytest.raises(DomainError, match=r"^no slope over \[5e-324, 1e-300\]"):
+            falloff_fit(5e-324, 1e-300)
 
     def test_infinite_end_refused(self):
         with pytest.raises(DomainError, match=r"^need 0 < z_lo < z_hi, got \[1, inf\]$"):
