@@ -43,7 +43,9 @@ class NormalForm(Terms):
     def __mul__(self, other):
         # move (f, H^e1) across x^a2, with D f = f' + e1 * (p / shell) f:
         # (f, H^e1) x^a2 = sum_k C(a2, k) (-i hbar)^k x^(a2-k) (D^k f, H^e1)
-        # and H^e1 H^e2 = c^2 shell when both flags are set
+        # each product is kept as a (numerator, shell power) pair until its
+        # key's Coeff.sum reduces it; H^e1 H^e2 = c^2 shell, when both flags
+        # are set, folds into the pair's shell power
         top = max((a2 for a2, _, _ in other.terms), default=0)
         left = []
         for (a1, b1, e1), c1 in self.terms.items():
@@ -58,7 +60,6 @@ class NormalForm(Terms):
             left.append((a1, b1, e1, chain))
         # a factor past the longest chain would meet no D^k c1
         longest = max((len(chain) for *_, chain in left), default=0)
-        left_h = any(e1 for _, _, e1, _ in left)
         right = []
         for (a2, b2, e2), c2 in other.terms.items():
             # C(a2, k) (-i hbar)^k c2 for k <= a2 and k < longest, built once per term
@@ -66,17 +67,15 @@ class NormalForm(Terms):
                 c2.times_poly(Poly.monomial(comb(a2, k), eh=k, ei=3 * k))
                 for k in range(1, min(a2 + 1, longest))
             ]
-            shell = [f.times_poly(C2_SHELL) for f in factors] if e2 and left_h else None
-            right.append((a2, b2, e2, factors, shell))
+            right.append((a2, b2, e2, factors))
         parts = defaultdict(list)
         for a1, b1, e1, chain in left:
-            for a2, b2, e2, factors, shell in right:
-                if e1 and e2:
-                    factors, eps = shell, 0
-                else:
-                    eps = e1 + e2
+            for a2, b2, e2, factors in right:
                 for k, (d, f) in enumerate(zip(chain, factors)):
-                    parts[a1 + a2 - k, b1 + b2, eps].append(d * f)
+                    n, s = d.num * f.num, d.spow + f.spow
+                    if e1 and e2:
+                        n, s = (n.shift(ec=2), s - 1) if s else (n * C2_SHELL, 0)
+                    parts[a1 + a2 - k, b1 + b2, e1 ^ e2].append((n, s))
         out = {}
         for key, ps in parts.items():
             # a sum can cancel

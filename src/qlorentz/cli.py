@@ -13,6 +13,7 @@ as a shell reports for ``yes | head``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -113,8 +114,8 @@ def _resolve_lambda_bar(args) -> float:
 
 def _cmd_propagator(args) -> int:
     lb = _resolve_lambda_bar(args)
-    if not lb > 0:
-        raise DomainError(f"lambda-bar must be positive, got {lb!r}")
+    if not 0 < lb < math.inf:
+        raise DomainError(f"lambda-bar must be positive and finite, got {lb!r}")
     if args.units == "si":
         tau = C_SI * args.t / lb
     else:

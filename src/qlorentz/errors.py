@@ -38,7 +38,7 @@ class InvalidFrame(QLorentzError):
 
 
 class NonpositiveMass(QLorentzError):
-    """Raised for masses <= 0."""
+    """Raised for masses that are not positive and finite."""
 
 
 class DomainError(QLorentzError):

@@ -62,7 +62,7 @@ def _checked_z(z: float, name: str) -> float:
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"{name} requires z > 0, got {z!r}")
+        raise DomainError(f"{name} requires 0 < z <= {Z_UNDERFLOW:g}, got {z!r}")
     if z > Z_UNDERFLOW:
         raise UnderflowToZero(f"{name}({z:g}) underflows double precision")
     return z
@@ -587,15 +587,18 @@ def hbound_check(p_samples: int) -> bool:
 # unit conversion (CLI boundary only)
 
 
+def _checked_mass(mass: float) -> float:
+    """mass, refused unless 0 < mass < inf: an infinite mass would give lambda-bar 0."""
+    if not 0.0 < mass < math.inf:
+        raise NonpositiveMass(f"mass must be positive and finite, got {mass!r}")
+    return mass
+
+
 def compton_wavelength(mass_kg: float) -> float:
     """Reduced Compton wavelength hbar/(m c) in meters, mass in kg."""
-    if not (mass_kg > 0.0):
-        raise NonpositiveMass(f"mass must be positive, got {mass_kg!r}")
-    return HBAR_SI / (mass_kg * C_SI)
+    return HBAR_SI / (_checked_mass(mass_kg) * C_SI)
 
 
 def lambda_bar_from_mev(mass_mev: float) -> float:
     """Reduced Compton wavelength in meters for a mass in MeV/c^2."""
-    if not (mass_mev > 0.0):
-        raise NonpositiveMass(f"mass must be positive, got {mass_mev!r}")
-    return HBARC_MEV_FM / mass_mev * 1e-15
+    return HBARC_MEV_FM / _checked_mass(mass_mev) * 1e-15

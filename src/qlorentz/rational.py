@@ -287,15 +287,13 @@ class Coeff:
 
     @staticmethod
     def sum(parts):
-        """The sum of a nonempty sequence of Coeffs, reduced once."""
-        if len(parts) == 1:
-            return parts[0]
-        k = max([c.spow for c in parts])
-        nums = [c.num if c.spow == k else c.num * _shell_pow(k - c.spow) for c in parts]
-        return Coeff(_sum(nums), k)
+        """The sum of a nonempty sequence of (num, spow) pairs, each standing
+        for num / shell^spow, as one reducing Coeff."""
+        k = max([s for _, s in parts])
+        return Coeff(_sum([n if s == k else n * _shell_pow(k - s) for n, s in parts]), k)
 
     def __add__(self, other):
-        return Coeff.sum((self, other))
+        return Coeff.sum(((self.num, self.spow), (other.num, other.spow)))
 
     def __neg__(self):
         return Coeff(-self.num, self.spow)

@@ -15,7 +15,8 @@ from qlorentz.algebra import (
 )
 from qlorentz.errors import DomainError, ExprError
 from qlorentz.expr import Atom, Power, Product, Rational, Sum, parse, print_expr
-from qlorentz.rational import Coeff
+from qlorentz.rational import C2_SHELL, Coeff
+from qlorentz.theorems import TPRIME, XPRIME
 from conftest import make_poly_tree, make_tree
 
 
@@ -56,6 +57,11 @@ def test_reduction_agrees(source, expected):
         ("x*p - p*x", "i*hbar"),
         ("H^2*x - x*H^2", "-2*i*hbar*c^2*p"),
         ("t - t", "0"),
+        # H H = c^2 shell, with the shell power of each side
+        ("H^-1*H", "1"),
+        ("H^-2*H^2", "1"),
+        ("H*H^-3", "H^-2"),
+        ("(H*x)*(x*H)", "x^2*(p^2*c^2 + m^2*c^4) - 2*i*hbar*c^2*x*p - hbar^2*c^6*m^2*H^-2"),
     ],
 )
 def test_canonical_text(source, text):
@@ -289,3 +295,18 @@ def test_products_build_only_the_factors_a_chain_reaches(monkeypatch):
         calls.clear()
         assert (a * b).to_text() == text
         assert len(calls) == built, (left, right)
+
+
+def test_products_reduce_once_per_key(monkeypatch):
+    """Each product D^k f x factor stays a (numerator, shell power) pair
+    until its key's Coeff.sum: no Coeff product is formed, and H H folds
+    into the pair's shell power without a c^2 shell factor."""
+    muls, shells = [], []
+    mul, times_poly = Coeff.__mul__, Coeff.times_poly
+    monkeypatch.setattr(Coeff, "__mul__", lambda a, b: muls.append(1) or mul(a, b))
+    monkeypatch.setattr(
+        Coeff, "times_poly", lambda c, poly: shells.append(poly == C2_SHELL) or times_poly(c, poly)
+    )
+    nf(f"({XPRIME})^3*({TPRIME})^3")
+    assert muls == []
+    assert shells and not any(shells)

@@ -272,6 +272,20 @@ class TestPropagator:
         assert code == 2
         assert "lambda-bar must be positive" in err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--units", "si", "--mass", "inf"), "error: mass must be positive and finite, got inf"),
+            (("--lambda-bar", "inf"), "error: lambda-bar must be positive and finite, got inf"),
+        ],
+        ids=["mass", "lambda-bar"],
+    )
+    def test_infinite_mass_or_lambda_bar_refused(self, flags, message):
+        code, out, err = run_cli("propagator", "--t", "0", "--x", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [message]
+
     def test_si_units_with_mass(self):
         code, out, _ = run_cli(
             "propagator", "--t", "0", "--x", "3.8615926796e-13",

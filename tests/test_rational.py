@@ -320,10 +320,15 @@ def test_canonical_form_invariant():
         _assert_canonical(value)
 
 
+def _pairs(parts):
+    return [(c.num, c.spow) for c in parts]
+
+
 def test_coeff_sum_matches_left_fold():
-    """Coeff.sum(parts) equals the left fold of + over parts with mixed
-    shell powers, when the parts cancel and when their sum is divisible by
-    the shell; the result is canonical and the parts are left unchanged."""
+    """Coeff.sum of the parts' (num, spow) pairs equals the left fold of +
+    over parts with mixed shell powers, when the parts cancel and when their
+    sum is divisible by the shell; the result is canonical and the parts
+    are left unchanged."""
     rng = random.Random(151)
     cases = []
     for _ in range(40):
@@ -336,7 +341,7 @@ def test_coeff_sum_matches_left_fold():
         cases.append([a, b, f - a - b])
     for parts in cases:
         before = [(dict(c.num.terms), c.spow) for c in parts]
-        got = Coeff.sum(parts)
+        got = Coeff.sum(_pairs(parts))
         expect = parts[0]
         for c in parts[1:]:
             expect = expect + c
@@ -347,5 +352,5 @@ def test_coeff_sum_matches_left_fold():
         else:
             assert got.spow == 0
     # the cancelling and the shell-divisible lists are all there
-    assert sum(not Coeff.sum(parts) for parts in cases) >= 40
-    assert sum(Coeff.sum(parts).spow < max(c.spow for c in parts) for parts in cases) >= 40
+    assert sum(not Coeff.sum(_pairs(parts)) for parts in cases) >= 40
+    assert sum(Coeff.sum(_pairs(parts)).spow < max(c.spow for c in parts) for parts in cases) >= 40
