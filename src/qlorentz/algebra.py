@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, ExprError
-from .expr import Atom, Power, Product, Rational, Sum, print_terms
+from .expr import Atom, Power, Product, Rational, Sum, negate, print_terms
 from .rational import C2_SHELL, Coeff, Poly, Terms, _merge
 
 
@@ -140,7 +139,7 @@ def normal_form(e):
     if isinstance(e, Atom):
         return _atom_nf(e.name)
     if isinstance(e, Rational):
-        return NormalForm.scalar(Coeff(Poly.monomial(Fraction(e.num, e.den))))
+        return NormalForm.scalar(Coeff(Poly.monomial(e)))
     if isinstance(e, Sum):
         out = {}
         for term in e.terms:
@@ -189,15 +188,16 @@ def is_zero(e):
 # normal forms as expression trees
 
 _I = Atom("i")
+_ONE = Rational(1)
 
 
 def _gauss_terms(poly, ec):
-    """Base monomial (hbar, c + ec, m, p) -> (re, im) of its coefficient."""
+    """Base monomial (hbar, c + ec, m, p) -> (re, im) of its coefficient, a part None if absent."""
     out = {}
     for (eh, c, em, ep, ei), g in poly.terms.items():
-        q = Fraction(g, poly.den)
+        q = Rational(g, poly.den)
         base = (eh, c + ec, em, ep)
-        re, im = out.get(base, (0, 0))
+        re, im = out.get(base, (None, None))
         out[base] = (re, q) if ei else (q, im)
     return out
 
@@ -212,12 +212,12 @@ def _power(name, e):
 
 
 def _times(g, factors):
-    """The tree of the rational g times the factors, None entries skipped."""
+    """The tree of the Rational g times the factors, None entries skipped."""
     factors = [f for f in factors if f is not None]
-    if g != 1:
-        factors.insert(0, Rational(g.numerator, g.denominator))
+    if (g.num, g.den) != (1, 1):
+        factors.insert(0, g)
     if not factors:
-        return Rational(1)
+        return _ONE
     return factors[0] if len(factors) == 1 else Product(factors)
 
 
@@ -228,7 +228,7 @@ def _coeff(re, im):
     so negating it adds a -1 head and keeps its parts.
     """
     if re and im:
-        return 1, [Sum((Rational(re.numerator, re.denominator), _times(im, [_I])))]
+        return _ONE, [Sum((re, _times(im, [_I])))]
     if im:
         return im, [_I]
     return re, []
@@ -256,6 +256,6 @@ def _term_trees(key, coeff):
     if x is None and t is None and h is None:
         return [_times(g, factors) for g, factors in summands]
     # pull the lead sign out of the group
-    sign = -1 if summands[0][0] < 0 else 1
-    group = Sum(tuple(_times(-g if sign < 0 else g, factors) for g, factors in summands))
-    return [_times(sign, [x, t, group, h])]
+    lead = summands[0][0].num < 0
+    group = Sum(tuple(_times(negate(g) if lead else g, factors) for g, factors in summands))
+    return [_times(Rational(-1) if lead else _ONE, [x, t, group, h])]

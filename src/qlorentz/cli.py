@@ -13,7 +13,6 @@ as a shell reports for ``yes | head``).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import __version__
 from .algebra import commutator, normal_form
 from .errors import DomainError, NonConvergence, QLorentzError
 from .expr import parse
-from .propagator import C_SI, gamma_quadrature, lambda_bar_from_mev, point_at, scan_rows
+from .propagator import C_SI, _checked_lambda_bar, gamma_quadrature, lambda_bar_from_mev, point_at, scan_rows
 from .theorems import STEPS, SUITE, run_all, run_theorem
 
 
@@ -113,9 +112,7 @@ def _resolve_lambda_bar(args) -> float:
 
 
 def _cmd_propagator(args) -> int:
-    lb = _resolve_lambda_bar(args)
-    if not 0 < lb < math.inf:
-        raise DomainError(f"lambda-bar must be positive and finite, got {lb!r}")
+    lb = _checked_lambda_bar(_resolve_lambda_bar(args))
     if args.units == "si":
         tau = C_SI * args.t / lb
     else:

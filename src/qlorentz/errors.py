@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class QLorentzError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,6 +41,13 @@ class InvalidFrame(QLorentzError):
 
 class NonpositiveMass(QLorentzError):
     """Raised for masses that are not positive and finite."""
+
+    @classmethod
+    def check(cls, mass):
+        """mass, refused unless 0 < mass < inf: an infinite mass would give lambda-bar 0."""
+        if not 0.0 < mass < math.inf:
+            raise cls(f"mass must be positive and finite, got {mass!r}")
+        return mass
 
 
 class DomainError(QLorentzError):

@@ -84,6 +84,9 @@ class Rational(_Node):
         self.num = num // g
         self.den = den // g
 
+    def as_integer_ratio(self):
+        return self.num, self.den
+
 
 class Sum(_Node):
     __slots__ = ("terms",)

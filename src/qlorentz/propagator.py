@@ -24,7 +24,6 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 from . import _kernels
 from .errors import (
@@ -214,6 +213,8 @@ def _stieltjes(n):
     # first, and C = ||P_n||^2 / (lead of P_n), all exact.  E is orthogonal
     # to x^k, k = 1, 3, ... < n, under P_n; the moments int x^m P_n dx
     # vanish for m < n, so each k brings in one new coefficient.
+    from fractions import Fraction  # only table building needs it
+
     f = math.factorial
 
     def moment(m):  # int_-1^1 x^m P_n(x) dx for m >= n, m - n even
@@ -402,25 +403,16 @@ class ThresholdCriterion(enum.Enum):
         return 1.0 if self is ThresholdCriterion.AMPLITUDE_EQ2 else 0.25
 
 
-# s = (xi - tau)(xi + tau) takes three roundings of at most 2^-53 each, so
-# it is within ~3 * 2^-53 |s| of the exact xi^2 - tau^2 of the two doubles.
-# More than 2^-51 b from a boundary b, the exact value is on the same side
-# as s and the double decides the class; inside that band the exact value
-# does (a filtered predicate, Shewchuk 1997)
-_S_FILTER = 2.0**-51
-
-
-def _classify(
-    tau: float, xi: float, s: float, z: float, criterion: ThresholdCriterion
-) -> Classification:
+def _classify(tau: float, xi: float, z: float, criterion: ThresholdCriterion) -> Classification:
     if z == 0.0:
         return Classification.TIMELIKE_OR_LIGHTLIKE
-    b = criterion.boundary
-    if abs(s - b) > _S_FILTER * b:
-        near = s <= b
-    else:
-        near = Fraction(xi) ** 2 - Fraction(tau) ** 2 <= b
-    if near:
+    if z == math.inf:  # an infinite xi: _interval keeps z finite for finite inputs
+        return Classification.SPACELIKE_NEGLIGIBLE
+    # xi^2 - tau^2 <= n/d exactly, on the integer ratios of the two doubles
+    a, b = xi.as_integer_ratio()
+    c, d = tau.as_integer_ratio()
+    n, e = criterion.boundary.as_integer_ratio()
+    if ((a * d) ** 2 - (c * b) ** 2) * e <= n * (b * d) ** 2:
         return Classification.SPACELIKE_NONNEGLIGIBLE
     return Classification.SPACELIKE_NEGLIGIBLE
 
@@ -429,7 +421,7 @@ def classify_interval(
     tau: float, xi: float, criterion: ThresholdCriterion
 ) -> Classification:
     """The class of (tau, xi); DomainError where the interval is undefined."""
-    return _classify(tau, xi, *_interval(tau, xi), criterion)
+    return _classify(tau, xi, _interval(tau, xi)[1], criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +446,8 @@ def point_at(tau: float, xi: float) -> PropagatorPoint:
         interval=-s,
         gamma=gamma,
         prob=abs(gamma) ** 2,
-        class_eq2=_classify(tau, xi, s, z, ThresholdCriterion.AMPLITUDE_EQ2),
-        class_eq13=_classify(tau, xi, s, z, ThresholdCriterion.PROBABILITY_EQ13),
+        class_eq2=_classify(tau, xi, z, ThresholdCriterion.AMPLITUDE_EQ2),
+        class_eq13=_classify(tau, xi, z, ThresholdCriterion.PROBABILITY_EQ13),
     )
 
 
@@ -587,18 +579,26 @@ def hbound_check(p_samples: int) -> bool:
 # unit conversion (CLI boundary only)
 
 
-def _checked_mass(mass: float) -> float:
-    """mass, refused unless 0 < mass < inf: an infinite mass would give lambda-bar 0."""
-    if not 0.0 < mass < math.inf:
-        raise NonpositiveMass(f"mass must be positive and finite, got {mass!r}")
-    return mass
+def _checked_lambda_bar(lb: float, source: str = "") -> float:
+    """lb, refused unless it is a positive normal double.
+
+    tau and xi are divided by lb, and a subnormal lb has already lost
+    digits.  ``source`` names the mass a derived lb came from.
+    """
+    if not 0.0 < lb < math.inf:
+        raise DomainError(f"lambda-bar{source} must be positive and finite, got {lb!r}")
+    if lb < _NORMAL_MIN:
+        raise DomainError(f"lambda-bar{source} must be a normal double, at least {_NORMAL_MIN!r}, got {lb!r}")
+    return lb
 
 
 def compton_wavelength(mass_kg: float) -> float:
     """Reduced Compton wavelength hbar/(m c) in meters, mass in kg."""
-    return HBAR_SI / (_checked_mass(mass_kg) * C_SI)
+    lb = HBAR_SI / (NonpositiveMass.check(mass_kg) * C_SI)
+    return _checked_lambda_bar(lb, f" of the mass {mass_kg!r} kg")
 
 
 def lambda_bar_from_mev(mass_mev: float) -> float:
     """Reduced Compton wavelength in meters for a mass in MeV/c^2."""
-    return HBARC_MEV_FM / _checked_mass(mass_mev) * 1e-15
+    lb = HBARC_MEV_FM / NonpositiveMass.check(mass_mev) * 1e-15
+    return _checked_lambda_bar(lb, f" of the mass {mass_mev!r} MeV/c^2")

@@ -119,10 +119,10 @@ class Poly(Terms):
 
     @staticmethod
     def monomial(g, eh=0, ec=0, em=0, ep=0, ei=0):
-        """g hbar^eh c^ec m^em p^ep i^ei for a rational g and any integer ei."""
-        if not g:
-            return Poly()
+        """g hbar^eh c^ec m^em p^ep i^ei for any integer ei; g has ``as_integer_ratio``."""
         num, den = g.as_integer_ratio()
+        if not num:
+            return Poly()
         if ei & 2:  # i^k = -i^(k-2)
             num = -num
         return Poly({(eh, ec, em, ep, ei & 1): num}, den)

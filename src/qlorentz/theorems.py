@@ -184,14 +184,17 @@ class FrameState(namedtuple("FrameState", "v E p m c")):
     __slots__ = ()
 
     def __new__(cls, v, E, p, m, c=1.0):
-        if not m > 0:
-            raise NonpositiveMass(f"mass must be positive, got {m}")
+        NonpositiveMass.check(m)
         _check_speed(v, c)
-        shell = p**2 * c**2 + m**2 * c**4
-        if not abs(E**2 - shell) <= _REL_TOL * E**2:
-            raise InvalidFrame(f"E^2 = {E**2} is off the mass shell {shell}")
-        if not abs(v * E - p * c**2) <= _REL_TOL * abs(E) * c:
-            raise InvalidFrame(f"v = {v} is not p*c^2/E = {p * c**2 / E}")
+        # E^2 = p^2 c^2 + m^2 c^4 and v = p c^2/E, divided through by powers of
+        # m c: gamma^2 = 1 + (gamma beta)^2 and beta gamma = gamma beta, with
+        # gamma = E/(m c^2) and gamma beta = p/(m c).  These divide only by
+        # m, c > 0, and a gamma that overflows is refused as off the shell
+        g, gb = E / m / c / c, p / m / c
+        if not abs(g * g - 1.0 - gb * gb) <= _REL_TOL * g * g < math.inf:
+            raise InvalidFrame(f"E = {E} is off the mass shell: E/(m c^2) = {g}, p/(m c) = {gb}")
+        if not abs(v / c * g - gb) <= _REL_TOL * abs(g):
+            raise InvalidFrame(f"v = {v} is not p*c^2/E = {gb / g * c}")
         return super().__new__(cls, v, E, p, m, c)
 
     @classmethod
@@ -203,20 +206,31 @@ class FrameState(namedtuple("FrameState", "v E p m c")):
     def from_velocity(cls, m, v, c=1.0):
         _check_speed(v, c)
         gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
-        return cls(v=v, E=gamma * m * c**2, p=gamma * m * v, m=m, c=c)
+        return cls(v=v, E=gamma * m * (c * c), p=gamma * m * v, m=m, c=c)
+
+
+def _finite(tp, xp):
+    if not (math.isfinite(tp) and math.isfinite(xp)):
+        raise DomainError(f"the boosted (t', x') = ({tp}, {xp}) is past the double range")
+    return tp, xp
 
 
 def lorentz_classical(t, x, v, c=1.0):
     """Standard boost: (t', x') = gamma*(t - v x / c^2), gamma*(x - v t)."""
     _check_speed(v, c)
-    gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
-    return gamma * (t - v * x / c**2), gamma * (x - v * t)
+    beta = v / c
+    gamma = 1.0 / math.sqrt(1.0 - beta**2)
+    # v x / c^2 as beta x / c: c^2 alone overflows or underflows first
+    return _finite(gamma * (t - beta * x / c), gamma * (x - v * t))
 
 
 def lorentz_momentum_form(t, x, frame):
     """The same boost written through (E, p):
 
-    t' = (E t - p x) / (m c^2),  x' = (E x - c^2 p t) / (m c^2).
+    t' = (E t - p x) / (m c^2),  x' = (E x - c^2 p t) / (m c^2),
+
+    evaluated through E/(m c^2) and p/(m c), as the frame checks them.
     """
-    mc2 = frame.m * frame.c**2
-    return (frame.E * t - frame.p * x) / mc2, (frame.E * x - frame.c**2 * frame.p * t) / mc2
+    m, c = frame.m, frame.c
+    g, gb = frame.E / m / c / c, frame.p / m / c
+    return _finite(g * t - gb * x / c, g * x - frame.p / m * t)

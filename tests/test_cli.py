@@ -113,9 +113,9 @@ class TestImportDiet:
         assert "qlorentz.cli" in loaded
         assert not {"dataclasses", "inspect"} & (loaded - bare)
 
-    def test_only_json_output_loads_json(self):
-        # json and statistics load where they are used: verify --format json
-        # and falloff_fit; scan writes its JSON text itself
+    @staticmethod
+    def _loaded_by_light_commands():
+        """The modules the light commands load past a bare interpreter's."""
         bare = set(run_python("-c", "import sys; print(*sys.modules)").stdout.split())
         code = (
             "import contextlib, io, sys, qlorentz.cli\n"
@@ -128,7 +128,17 @@ class TestImportDiet:
         assert got.returncode == 0, got.stderr
         loaded = set(got.stdout.split())
         assert "qlorentz.propagator" in loaded
-        assert not {"json", "statistics"} & (loaded - bare)
+        return loaded - bare
+
+    def test_only_json_output_loads_json(self):
+        # json and statistics load where they are used: verify --format json
+        # and falloff_fit; scan writes its JSON text itself
+        assert not {"json", "statistics"} & self._loaded_by_light_commands()
+
+    def test_light_commands_load_no_fractions(self):
+        # exact rationals are ints and expr.Rational; only the quadrature's
+        # node tables import fractions (and with it decimal and numbers)
+        assert not {"fractions", "decimal", "numbers"} & self._loaded_by_light_commands()
 
 
 class TestVerify:
@@ -277,8 +287,22 @@ class TestPropagator:
         [
             (("--units", "si", "--mass", "inf"), "error: mass must be positive and finite, got inf"),
             (("--lambda-bar", "inf"), "error: lambda-bar must be positive and finite, got inf"),
+            # a lambda-bar past the normal doubles; a derived one names its mass, not a flag never given
+            (
+                ("--units", "si", "--mass", "5e-324"),
+                "error: lambda-bar of the mass 5e-324 MeV/c^2 must be positive and finite, got inf",
+            ),
+            (
+                ("--units", "si", "--mass", "1e300", "--x", "1e-310"),
+                "error: lambda-bar of the mass 1e+300 MeV/c^2 must be a normal double, "
+                "at least 2.2250738585072014e-308, got 1.973269804e-313",
+            ),
+            (
+                ("--lambda-bar", "1e-320"),
+                "error: lambda-bar must be a normal double, at least 2.2250738585072014e-308, got 1e-320",
+            ),
         ],
-        ids=["mass", "lambda-bar"],
+        ids=["mass", "lambda-bar", "mass-overflows", "mass-subnormal", "lambda-bar-subnormal"],
     )
     def test_infinite_mass_or_lambda_bar_refused(self, flags, message):
         code, out, err = run_cli("propagator", "--t", "0", "--x", "1", *flags)

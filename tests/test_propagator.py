@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -363,6 +364,11 @@ class TestClassification:
             (1.0, 1.0, "amplitude_eq2", Classification.TIMELIKE_OR_LIGHTLIKE),
             # the rounded s is 1, the exact s - 1 of the two doubles +2.1e-16
             (1.6576530344918071e-06, 1.000000000001374, "amplitude_eq2", Classification.SPACELIKE_NEGLIGIBLE),
+            # an infinite coordinate: z is inf or 0, and the ints of the exact compare do not exist
+            (0.0, math.inf, "amplitude_eq2", Classification.SPACELIKE_NEGLIGIBLE),
+            (0.0, math.inf, "probability_eq13", Classification.SPACELIKE_NEGLIGIBLE),
+            (math.inf, 0.0, "amplitude_eq2", Classification.TIMELIKE_OR_LIGHTLIKE),
+            (-math.inf, 1.0, "probability_eq13", Classification.TIMELIKE_OR_LIGHTLIKE),
         ],
     )
     def test_boundary_table(self, tau, xi, criterion, expected):
@@ -760,3 +766,18 @@ class TestUnits:
             for mass in (0.0, -2.0, math.inf, math.nan):
                 with pytest.raises(NonpositiveMass, match="^mass must be positive and finite, got "):
                     helper(mass)
+
+    @pytest.mark.parametrize(
+        "helper,mass,message",
+        [
+            (lambda_bar_from_mev, 5e-324, "of the mass 5e-324 MeV/c^2 must be positive and finite, got inf"),
+            (compton_wavelength, 1e301, "of the mass 1e+301 kg must be positive and finite, got 0.0"),
+            (lambda_bar_from_mev, 1e300, "of the mass 1e+300 MeV/c^2 must be a normal double"),
+            (compton_wavelength, 1e270, "of the mass 1e+270 kg must be a normal double"),
+        ],
+        ids=["mev-overflows", "kg-underflows", "mev-subnormal", "kg-subnormal"],
+    )
+    def test_wavelength_not_normal_refused(self, helper, mass, message):
+        # a wavelength that overflows, underflows to 0 or is subnormal has lost its digits
+        with pytest.raises(DomainError, match="^lambda-bar " + re.escape(message)):
+            helper(mass)

@@ -1,7 +1,9 @@
 """Identity suite and the classical transformation counterpart."""
 
+import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from qlorentz.errors import (
     DomainError,
     InvalidFrame,
     NonpositiveMass,
+    QLorentzError,
     SpeedDomain,
     UnknownTheorem,
 )
@@ -192,3 +195,52 @@ class TestClassical:
     def test_rest_frame_is_identity(self):
         t, x = lorentz_classical(1.25, -0.75, 0.0)
         assert t == 1.25 and x == -0.75
+
+    def test_extreme_scales_do_not_overflow(self):
+        # E^2, p^2 c^2 and c^4 overflow here; the ratios the checks use do not
+        frame = FrameState.from_velocity(1e160, 0.5)
+        assert _rel_close(frame.E, 1e160 / math.sqrt(0.75))
+        assert FrameState(0.0, 1e200, 0.0, 1e200).E == 1e200  # a rest frame
+        frame = FrameState.from_velocity(1.0, 0.5e100, c=1e100)
+        t, x = lorentz_momentum_form(1.0, 2.0, frame)
+        assert _rel_close(t, 1.0 / math.sqrt(0.75)) and _rel_close(x, -0.5e100 / math.sqrt(0.75))
+        # c^2 overflows: the finite Galilean limit, as for c = inf
+        assert lorentz_classical(1.0, 1.0, 0.5, c=1e200) == (1.0, 0.5)
+        # c^2 underflows to 0: v x / c^2 is (v / c) x / c
+        t, x = lorentz_classical(1.0, 1.0, 0.5e-200, c=1e-200)
+        assert _rel_close(t, (1.0 - 0.5e200) / math.sqrt(0.75)) and _rel_close(x, 1.0 / math.sqrt(0.75))
+
+    def test_infinite_mass_or_energy_refused(self):
+        with pytest.raises(NonpositiveMass, match="^mass must be positive and finite, got inf$"):
+            FrameState.from_velocity(math.inf, 0.5)
+        # an infinite E passed the shell check as inf <= inf
+        with pytest.raises(InvalidFrame, match="off the mass shell"):
+            FrameState(0.5, math.inf, 0.5, 1.0)
+        with pytest.raises(InvalidFrame, match="off the mass shell"):
+            FrameState.from_velocity(1.0, 0.5, c=1e200)  # m c^2 is past the doubles
+
+    def test_boost_past_the_doubles_refused(self):
+        with pytest.raises(DomainError, match="past the double range"):
+            lorentz_classical(1e308, 0.0, 0.9)
+        with pytest.raises(DomainError, match="past the double range"):
+            lorentz_momentum_form(1e308, 0.0, FrameState.from_velocity(1.0, 0.9))
+
+    def test_finite_inputs_give_finite_numbers_or_refuse(self):
+        scales = [0.0, 5e-324, 1e-310, 1e-200, 0.5, 1.0, 3.0, 1e100, 1e160, 1e200, 1e300, sys.float_info.max]
+        scales += [-s for s in scales]
+
+        def outcome(f, *args):  # f's numbers, or () where it refuses
+            try:
+                return f(*args)
+            except QLorentzError:
+                return ()
+
+        for m, c, frac in itertools.product(scales, scales, (0.0, -0.9, math.nextafter(1.0, 0.0))):
+            v = frac * c
+            frame = outcome(FrameState.from_velocity, m, v, c)
+            numbers = list(frame)
+            for t, x in ((1.0, 2.0), (1e300, -1e300)):
+                numbers += outcome(lorentz_classical, t, x, v, c)
+                if frame:
+                    numbers += outcome(lorentz_momentum_form, t, x, frame)
+            assert all(map(math.isfinite, numbers)), (m, v, c, numbers)
